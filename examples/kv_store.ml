@@ -24,7 +24,7 @@ let () =
   (* The operation store: request id -> operation (a real deployment ships
      the payload inside the request body; the simulator carries sizes only,
      so the examples keep payloads in this side table). *)
-  let ops : (int, op) Hashtbl.t = Hashtbl.create 64 in
+  let ops : op Sim.Int_tbl.t = Sim.Int_tbl.create 64 in
 
   (* One state machine per replica. *)
   let stores = Array.init n (fun _ -> Hashtbl.create 64) in
@@ -37,7 +37,7 @@ let () =
         Some
           (fun node (d : Core.Log.delivery) ->
             let me = Core.Node.id node in
-            match Hashtbl.find_opt ops (Proto.Request.id_key d.request.Proto.Request.id) with
+            match Sim.Int_tbl.find_opt ops (Proto.Request.id_key d.request.Proto.Request.id) with
             | Some (Put { key; value }) ->
                 Hashtbl.replace stores.(me) key value;
                 applied.(me) <- applied.(me) + 1;
@@ -67,7 +67,7 @@ let () =
       Proto.Request.make ~client ~ts ~payload_size:(String.length key + String.length value)
         ~sig_data:Proto.Request.Unsigned ~submitted_at:(Sim.Engine.now engine) ()
     in
-    Hashtbl.replace ops (Proto.Request.id_key r.id) (Put { key; value });
+    Sim.Int_tbl.replace ops (Proto.Request.id_key r.id) (Put { key; value });
     Array.iter (fun node -> Core.Node.submit node r) nodes
   in
   let words = [| "alpha"; "bravo"; "charlie"; "delta"; "echo"; "foxtrot" |] in

@@ -45,16 +45,16 @@ type t = {
   n : int;
   reply_quorum : int;
   window : int;
-  submitted : (int, Proto.Request.t) Hashtbl.t;  (* id_key -> request *)
+  submitted : Proto.Request.t Sim.Int_tbl.t;  (* id_key -> request *)
   global : (int, entry) Hashtbl.t;  (* sn -> first-observed content *)
-  req_sn : (int, int) Hashtbl.t;  (* id_key -> sn of global appearance *)
+  req_sn : int Sim.Int_tbl.t;  (* id_key -> sn of global appearance *)
   last_sn : int array;  (* per node, -1 before any delivery *)
   last_frs_end : int array;  (* per node: frs + len of the last delivery *)
-  per_node_seen : (int, unit) Hashtbl.t array;
+  per_node_seen : unit Sim.Int_tbl.t array;
   delivered_counts : int array;
   byzantine : bool array;  (* invariants quantify over correct nodes only *)
   shed_counts : int array;  (* flow-control sheds per node *)
-  gave_up : (int, unit) Hashtbl.t;  (* id_key of abandoned requests *)
+  gave_up : unit Sim.Int_tbl.t;  (* id_key of abandoned requests *)
   mutable max_sn : int;
   mutable violation : string option;
 }
@@ -64,16 +64,16 @@ let create ~n ~reply_quorum ~window =
     n;
     reply_quorum;
     window;
-    submitted = Hashtbl.create 4096;
+    submitted = Sim.Int_tbl.create 4096;
     global = Hashtbl.create 4096;
-    req_sn = Hashtbl.create 4096;
+    req_sn = Sim.Int_tbl.create 4096;
     last_sn = Array.make n (-1);
     last_frs_end = Array.make n 0;
-    per_node_seen = Array.init n (fun _ -> Hashtbl.create 4096);
+    per_node_seen = Array.init n (fun _ -> Sim.Int_tbl.create 4096);
     delivered_counts = Array.make n 0;
     byzantine = Array.make n false;
     shed_counts = Array.make n 0;
-    gave_up = Hashtbl.create 64;
+    gave_up = Sim.Int_tbl.create 64;
     max_sn = -1;
     violation = None;
   }
@@ -83,7 +83,7 @@ let set_byzantine t node = t.byzantine.(node) <- true
 let fail t fmt = Printf.ksprintf (fun msg -> if t.violation = None then t.violation <- Some msg) fmt
 
 let note_submitted t (r : Proto.Request.t) =
-  Hashtbl.replace t.submitted (Proto.Request.id_key r.Proto.Request.id) r
+  Sim.Int_tbl.replace t.submitted (Proto.Request.id_key r.Proto.Request.id) r
 
 let note_shed t ~node (r : Proto.Request.t) =
   if not t.byzantine.(node) then begin
@@ -91,13 +91,13 @@ let note_shed t ~node (r : Proto.Request.t) =
     (* A node that already delivered this request holds it in its dedup
        state: a later copy must be absorbed as a duplicate, never counted
        against the bucket and shed. *)
-    if Hashtbl.mem t.per_node_seen.(node) (Proto.Request.id_key r.Proto.Request.id) then
+    if Sim.Int_tbl.mem t.per_node_seen.(node) (Proto.Request.id_key r.Proto.Request.id) then
       fail t "node %d shed request (client %d, ts %d) it had already delivered" node
         r.id.Proto.Request.client r.id.Proto.Request.ts
   end
 
 let note_gave_up t (r : Proto.Request.t) =
-  Hashtbl.replace t.gave_up (Proto.Request.id_key r.Proto.Request.id) ()
+  Sim.Int_tbl.replace t.gave_up (Proto.Request.id_key r.Proto.Request.id) ()
 
 let note_delivery t ~node ~sn ~first_request_sn batch =
   if t.violation = None then
@@ -146,24 +146,24 @@ let note_delivery t ~node ~sn ~first_request_sn batch =
         Proto.Batch.iter
           (fun (r : Proto.Request.t) ->
             let key = Proto.Request.id_key r.Proto.Request.id in
-            match Hashtbl.find_opt t.req_sn key with
+            match Sim.Int_tbl.find_opt t.req_sn key with
             | Some sn0 ->
                 fail t "request (client %d, ts %d) ordered at both sn %d and sn %d"
                   r.id.Proto.Request.client r.id.Proto.Request.ts sn0 sn
-            | None -> Hashtbl.replace t.req_sn key sn)
+            | None -> Sim.Int_tbl.replace t.req_sn key sn)
           batch);
     (* No fabrication + per-node exactly-once. *)
     let seen = t.per_node_seen.(node) in
     Proto.Batch.iter
       (fun (r : Proto.Request.t) ->
         let key = Proto.Request.id_key r.Proto.Request.id in
-        if not (Hashtbl.mem t.submitted key) then
+        if not (Sim.Int_tbl.mem t.submitted key) then
           fail t "node %d delivered request (client %d, ts %d) that was never submitted" node
             r.id.Proto.Request.client r.id.Proto.Request.ts;
-        if Hashtbl.mem seen key then
+        if Sim.Int_tbl.mem seen key then
           fail t "node %d delivered request (client %d, ts %d) twice" node
             r.id.Proto.Request.client r.id.Proto.Request.ts;
-        Hashtbl.replace seen key ())
+        Sim.Int_tbl.replace seen key ())
       batch
   end
 
@@ -191,10 +191,10 @@ let check_log_structure t =
 
 let check_liveness t =
   let missing = ref 0 and unquorate = ref 0 and example = ref None in
-  Hashtbl.iter
+  Sim.Int_tbl.iter
     (fun key (r : Proto.Request.t) ->
-      if not (Hashtbl.mem t.gave_up key) then
-      match Hashtbl.find_opt t.req_sn key with
+      if not (Sim.Int_tbl.mem t.gave_up key) then
+      match Sim.Int_tbl.find_opt t.req_sn key with
       | None ->
           incr missing;
           if !example = None then example := Some r
@@ -216,13 +216,13 @@ let check_clients t =
      watermark window — ts [k] can only be ordered after ts [k - window]. *)
   let clients : (int, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
   let max_ts : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
+  Sim.Int_tbl.iter
     (fun key (r : Proto.Request.t) ->
       let c = r.id.Proto.Request.client and ts = r.id.Proto.Request.ts in
       (match Hashtbl.find_opt max_ts c with
       | Some m when m >= ts -> ()
       | _ -> Hashtbl.replace max_ts c ts);
-      match Hashtbl.find_opt t.req_sn key with
+      match Sim.Int_tbl.find_opt t.req_sn key with
       | None -> ()  (* already reported by check_liveness *)
       | Some sn ->
           let tbl =
@@ -245,7 +245,9 @@ let check_clients t =
                the explicit give-up terminal state of the overload run. *)
             if
               t.violation = None
-              && not (Hashtbl.mem t.gave_up (Proto.Request.id_key { Proto.Request.client = c; ts }))
+              && not
+                   (Sim.Int_tbl.mem t.gave_up
+                      (Proto.Request.id_key { Proto.Request.client = c; ts }))
             then
               fail t "client %d: ts %d missing from the delivered range [0, %d]" c ts m
         | Some sn ->
@@ -277,11 +279,11 @@ let finalize t =
       Ok
         {
           sns = Hashtbl.length t.global;
-          requests = Hashtbl.length t.req_sn;
+          requests = Sim.Int_tbl.length t.req_sn;
           quorum_requests;
           per_node_delivered = Array.copy t.delivered_counts;
           shed = Array.fold_left ( + ) 0 t.shed_counts;
-          gave_up = Hashtbl.length t.gave_up;
+          gave_up = Sim.Int_tbl.length t.gave_up;
         }
 
 let violation t = t.violation
@@ -306,8 +308,8 @@ let fingerprint t =
   (* Overload accounting enters the digest only when it fired: scenarios
      without flow control keep their pre-flow-control fingerprints. *)
   let shed_total = Array.fold_left ( + ) 0 t.shed_counts in
-  if shed_total > 0 || Hashtbl.length t.gave_up > 0 then begin
-    Buffer.add_string buf (Printf.sprintf "gaveup=%d;" (Hashtbl.length t.gave_up));
+  if shed_total > 0 || Sim.Int_tbl.length t.gave_up > 0 then begin
+    Buffer.add_string buf (Printf.sprintf "gaveup=%d;" (Sim.Int_tbl.length t.gave_up));
     Array.iteri
       (fun node shed -> Buffer.add_string buf (Printf.sprintf "shed%d=%d;" node shed))
       t.shed_counts

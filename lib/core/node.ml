@@ -44,9 +44,9 @@ type t = {
   threshold_group : Iss_crypto.Threshold.group;
   log : Log.t;
   buckets : Bucket_queue.t array;
-  arrival_seq : (int, int) Hashtbl.t;  (* request id key -> arrival order *)
+  arrival_seq : int Sim.Int_tbl.t;  (* request id key -> arrival order *)
   mutable arrival_counter : int;
-  seen_proposed : (int, int) Hashtbl.t;  (* id key -> sn accepted this epoch *)
+  seen_proposed : int Sim.Int_tbl.t;  (* id key -> sn accepted this epoch *)
   proposed : (int, Proto.Batch.t) Hashtbl.t;  (* sn -> batch I proposed *)
   watermarks : Watermarks.t;
   policy : Leader_policy.t;
@@ -250,7 +250,7 @@ let request_acceptable t (r : Proto.Request.t) =
      undecided batch would make this node cut it into a second batch, which
      honest followers must then reject wholesale. *)
   (not (Watermarks.delivered t.watermarks r.id))
-  && (not (Hashtbl.mem t.seen_proposed (Proto.Request.id_key r.id)))
+  && (not (Sim.Int_tbl.mem t.seen_proposed (Proto.Request.id_key r.id)))
   && ((not t.config.Config.client_signatures) || Proto.Request.signature_valid r)
   (* Relaxed mode (large benchmarks) skips only the watermark-window
      back-pressure check; the dedup above stays on in both modes. *)
@@ -300,12 +300,12 @@ let rec submit t (r : Proto.Request.t) =
     let q = t.buckets.(bucket) in
     if admit_request t q r then begin
       let seq =
-        match Hashtbl.find_opt t.arrival_seq key with
+        match Sim.Int_tbl.find_opt t.arrival_seq key with
         | Some s -> s  (* retransmission: keep the original arrival order *)
         | None ->
             let s = t.arrival_counter in
             t.arrival_counter <- s + 1;
-            Hashtbl.replace t.arrival_seq key s;
+            Sim.Int_tbl.replace t.arrival_seq key s;
             s
       in
       if Bucket_queue.add q ~seq r then begin
@@ -398,7 +398,7 @@ and try_cut t (b : batcher) =
       b.last_cut <- now;
       Hashtbl.replace t.proposed sn batch;
       Proto.Batch.iter
-        (fun r -> Hashtbl.replace t.seen_proposed (Proto.Request.id_key r.Proto.Request.id) sn)
+        (fun r -> Sim.Int_tbl.replace t.seen_proposed (Proto.Request.id_key r.Proto.Request.id) sn)
         batch;
       (match b.timer with
       | Some timer ->
@@ -474,10 +474,10 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
                Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id
              in
              let seen_ok =
-               match Hashtbl.find_opt t.seen_proposed key with
+               match Sim.Int_tbl.find_opt t.seen_proposed key with
                | Some sn' -> sn' = sn
                | None ->
-                   Hashtbl.replace t.seen_proposed key sn;
+                   Sim.Int_tbl.replace t.seen_proposed key sn;
                    recorded := key :: !recorded;
                    true
              in
@@ -507,7 +507,7 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
            batch
        with Exit -> ());
       if !verdict <> Orderer_intf.Accept then
-        List.iter (Hashtbl.remove t.seen_proposed) !recorded;
+        List.iter (Sim.Int_tbl.remove t.seen_proposed) !recorded;
       !verdict
 
 (* ------------------------------------------------------------------ *)
@@ -525,7 +525,9 @@ let resurrect t (batch : Proto.Batch.t) =
            aborted batch returns while the bucket has refilled. *)
         if admit_request t q r then begin
           let seq =
-            match Hashtbl.find_opt t.arrival_seq key with Some s -> s | None -> t.arrival_counter
+            match Sim.Int_tbl.find_opt t.arrival_seq key with
+            | Some s -> s
+            | None -> t.arrival_counter
           in
           Bucket_queue.resurrect q ~seq r;
           match t.bucket_batcher.(bucket) with Some b -> try_cut t b | None -> ()
@@ -549,7 +551,7 @@ let rec process_commit t ~sn proposal ~resurrectable =
           (fun (r : Proto.Request.t) ->
             if strict then begin
               Watermarks.note_delivered t.watermarks r.id;
-              Hashtbl.remove t.arrival_seq (Proto.Request.id_key r.id);
+              Sim.Int_tbl.remove t.arrival_seq (Proto.Request.id_key r.id);
               let bucket =
                 Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id
               in
@@ -565,7 +567,7 @@ let rec process_commit t ~sn proposal ~resurrectable =
                 Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id
               in
               match Bucket_queue.remove t.buckets.(bucket) r.id with
-              | Some _ -> Hashtbl.remove t.arrival_seq (Proto.Request.id_key r.id)
+              | Some _ -> Sim.Int_tbl.remove t.arrival_seq (Proto.Request.id_key r.id)
               | None -> ()
             end)
           batch
@@ -698,7 +700,7 @@ and start_epoch t ~epoch ~start_sn ~leaders =
         ~epoch ~leaders
     in
     Hashtbl.replace t.epoch_bounds epoch (start_sn, len);
-    Hashtbl.reset t.seen_proposed;
+    Sim.Int_tbl.reset t.seen_proposed;
     (* Some positions may already be committed (state transfer outran the
        epoch machinery); count only the genuinely open ones. *)
     let remaining = ref 0 in
@@ -1074,8 +1076,8 @@ and jump_to_checkpoint t (cert : Proto.Message.checkpoint_cert) =
     Hashtbl.iter (fun _ inst -> Orderer_intf.stop inst) t.orderers;
     Hashtbl.reset t.orderers;
     Hashtbl.reset t.proposed;
-    Hashtbl.reset t.seen_proposed;
-    Hashtbl.reset t.arrival_seq;
+    Sim.Int_tbl.reset t.seen_proposed;
+    Sim.Int_tbl.reset t.arrival_seq;
     Array.iter Bucket_queue.clear t.buckets;
     let stale_epochs =
       Hashtbl.fold
@@ -1161,9 +1163,9 @@ let create ~config ~id ~engine ~send:raw_send ~orderer_factory ?(hooks = default
       threshold_group = Iss_crypto.Threshold.setup ~n ~t:(min n ((2 * f) + 1));
       log = Log.create ();
       buckets = Array.init num_buckets (fun _ -> Bucket_queue.create ());
-      arrival_seq = Hashtbl.create 65536;
+      arrival_seq = Sim.Int_tbl.create 1024;
       arrival_counter = 0;
-      seen_proposed = Hashtbl.create 65536;
+      seen_proposed = Sim.Int_tbl.create 1024;
       proposed = Hashtbl.create 64;
       watermarks = Watermarks.create ~window:config.Config.client_watermark_window;
       policy = Leader_policy.create config;

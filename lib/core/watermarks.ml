@@ -18,18 +18,18 @@ type client_state = {
   bits : Bytes.t;  (* ring bitmap over [floor, floor + capacity) *)
 }
 
-type t = { window : int; capacity : int; clients : (int, client_state) Hashtbl.t }
+type t = { window : int; capacity : int; clients : client_state Sim.Int_tbl.t }
 
 let create ~window =
   assert (window > 0);
-  { window; capacity = 4 * window; clients = Hashtbl.create 64 }
+  { window; capacity = 4 * window; clients = Sim.Int_tbl.create 64 }
 
 let state t client =
-  match Hashtbl.find_opt t.clients client with
+  match Sim.Int_tbl.find_opt t.clients client with
   | Some s -> s
   | None ->
       let s = { floor = 0; bits = Bytes.make ((t.capacity + 7) / 8) '\000' } in
-      Hashtbl.replace t.clients client s;
+      Sim.Int_tbl.replace t.clients client s;
       s
 
 let get_bit t s ts =
@@ -88,7 +88,7 @@ let note_delivered t (id : Proto.Request.id) =
     end
 
 let delivered t (id : Proto.Request.id) =
-  match Hashtbl.find_opt t.clients id.client with
+  match Sim.Int_tbl.find_opt t.clients id.client with
   | None -> false
   | Some s ->
       id.ts < s.floor || (id.ts < s.floor + t.capacity && get_bit t s id.ts)

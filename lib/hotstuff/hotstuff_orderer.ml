@@ -230,8 +230,9 @@ module Orderer = struct
     if t.active && t.i_am_leader then begin
       let make_and_send sn proposal =
         let node = { Msg.view; sn; parent; proposal; justify } in
-        Hashtbl.replace t.chain (Hash.raw (Msg.node_digest node)) node;
-        t.last_proposed <- Some (view, Msg.node_digest node);
+        let digest = Msg.node_digest node in
+        Hashtbl.replace t.chain (Hash.raw digest) node;
+        t.last_proposed <- Some (view, digest);
         broadcast_hs t (Msg.Proposal_msg node)
       in
       match t.to_propose with
@@ -350,9 +351,9 @@ module Orderer = struct
       let content_ok = content = Core.Orderer_intf.Accept in
       if justify_ok && content_ok then begin
         (match node.Msg.justify with Some qc -> register_qc t qc | None -> ());
-        Hashtbl.replace t.chain (Hash.raw (Msg.node_digest node)) node;
-        t.last_voted_view <- node.Msg.view;
         let digest = Msg.node_digest node in
+        Hashtbl.replace t.chain (Hash.raw digest) node;
+        t.last_voted_view <- node.Msg.view;
         let material =
           Msg.vote_material ~instance:t.seg.Core.Segment.instance ~view:node.Msg.view digest
         in
@@ -490,15 +491,17 @@ module Orderer = struct
       | sn :: rest ->
           t.to_propose <- rest;
           let node = { Msg.view; sn; parent; proposal = Proposal.Nil; justify } in
-          Hashtbl.replace t.chain (Hash.raw (Msg.node_digest node)) node;
-          t.last_proposed <- Some (view, Msg.node_digest node);
+          let digest = Msg.node_digest node in
+          Hashtbl.replace t.chain (Hash.raw digest) node;
+          t.last_proposed <- Some (view, digest);
           broadcast_hs t (Msg.Proposal_msg node)
       | [] ->
           if t.dummies_left > 0 then begin
             t.dummies_left <- t.dummies_left - 1;
             let node = { Msg.view; sn = -1; parent; proposal = Proposal.Nil; justify } in
-            Hashtbl.replace t.chain (Hash.raw (Msg.node_digest node)) node;
-            t.last_proposed <- Some (view, Msg.node_digest node);
+            let digest = Msg.node_digest node in
+            Hashtbl.replace t.chain (Hash.raw digest) node;
+            t.last_proposed <- Some (view, digest);
             broadcast_hs t (Msg.Proposal_msg node)
           end
     end

@@ -14,8 +14,18 @@ let public_of_id id = id
 
 let sign kp msg = Sha256.digest (kp.secret ^ msg)
 
+(* Keys never change, so derive each verifier-side key once per process. *)
+let keys : (int, keypair) Hashtbl.t = Hashtbl.create 64
+
 let verify pk msg s =
-  let kp = genkey ~id:pk in
+  let kp =
+    match Hashtbl.find_opt keys pk with
+    | Some kp -> kp
+    | None ->
+        let kp = genkey ~id:pk in
+        Hashtbl.replace keys pk kp;
+        kp
+  in
   String.equal (sign kp msg) s
 
 let wire_size = 64

@@ -57,7 +57,7 @@ type t = {
   mutable e_at : int array;
   mutable size : int;
   mutable dropped : int;
-  once : (int, unit) Hashtbl.t;  (* (req * num_phases + phase) recorded via event_once *)
+  once : unit Sim.Int_tbl.t;  (* (req * num_phases + phase) recorded via event_once *)
 }
 
 let create ?(sample = 1) ?(max_events = 262_144) ~engine () =
@@ -72,7 +72,7 @@ let create ?(sample = 1) ?(max_events = 262_144) ~engine () =
     e_at = [||];
     size = 0;
     dropped = 0;
-    once = Hashtbl.create 4096;
+    once = Sim.Int_tbl.create 4096;
   }
 
 let sampled t ~req = req mod t.sample = 0
@@ -109,8 +109,8 @@ let event t ~req ~node phase = record t ~req ~node ~at:(Sim.Engine.now t.engine)
 let event_once t ~req ~node phase =
   if req mod t.sample = 0 then begin
     let key = (req * num_phases) + phase_index phase in
-    if not (Hashtbl.mem t.once key) then begin
-      Hashtbl.replace t.once key ();
+    if not (Sim.Int_tbl.mem t.once key) then begin
+      Sim.Int_tbl.replace t.once key ();
       event t ~req ~node phase
     end
   end
@@ -159,14 +159,14 @@ let write_jsonl t oc =
    contributes to the end-to-end histogram. *)
 
 let breakdown t =
-  let firsts : (int, int array) Hashtbl.t = Hashtbl.create 4096 in
+  let firsts : int array Sim.Int_tbl.t = Sim.Int_tbl.create 4096 in
   iter t (fun ~req ~node:_ ~at phase ->
       let arr =
-        match Hashtbl.find_opt firsts req with
+        match Sim.Int_tbl.find_opt firsts req with
         | Some a -> a
         | None ->
             let a = Array.make num_phases min_int in
-            Hashtbl.replace firsts req a;
+            Sim.Int_tbl.replace firsts req a;
             a
       in
       let p = phase_index phase in
@@ -188,7 +188,7 @@ let breakdown t =
         (Submit, Reply);
       ]
   in
-  Hashtbl.iter
+  Sim.Int_tbl.iter
     (fun _req arr ->
       List.iter
         (fun (_, a, b, hist) ->

@@ -23,8 +23,8 @@ exception Invariant_violation of string
    for the end-of-run liveness check. *)
 type invariant_state = {
   inv_batches : (int, Iss_crypto.Hash.t * int * int) Hashtbl.t;
-  inv_per_node : (int, unit) Hashtbl.t array;
-  inv_submitted : (int, Proto.Request.t) Hashtbl.t;
+  inv_per_node : unit Sim.Int_tbl.t array;
+  inv_submitted : Proto.Request.t Sim.Int_tbl.t;
 }
 
 type t = {
@@ -42,7 +42,7 @@ type t = {
   mutable submitted : int;
   reply_quorum : int;
   mutable track_delivered_ids : bool;
-  delivered_ids : (int, unit) Hashtbl.t;  (* request id keys, when tracked *)
+  delivered_ids : unit Sim.Int_tbl.t;  (* request id keys, when tracked *)
   mutable invariants : invariant_state option;
   mutable adversary : Adversary.t option;
       (* None unless a Byzantine fault schedule configured one: the honest
@@ -58,7 +58,7 @@ type t = {
   mutable submission_observer : (Proto.Request.t -> unit) option;
   mutable gave_up : int;
       (* requests whose client (modeled or real) exhausted its retry budget *)
-  gave_up_ids : (int, unit) Hashtbl.t;
+  gave_up_ids : unit Sim.Int_tbl.t;
       (* id keys of given-up requests: the liveness check treats "explicitly
          gave up" as a legal terminal state alongside "delivered" *)
   mutable shed_observer : (node:int -> shed:bool -> Proto.Request.t -> unit) option;
@@ -104,9 +104,9 @@ let pushback_total t =
 
 let note_gave_up t (r : Proto.Request.t) =
   let key = Proto.Request.id_key r.Proto.Request.id in
-  if not (Hashtbl.mem t.gave_up_ids key) then begin
+  if not (Sim.Int_tbl.mem t.gave_up_ids key) then begin
     t.gave_up <- t.gave_up + 1;
-    Hashtbl.replace t.gave_up_ids key ();
+    Sim.Int_tbl.replace t.gave_up_ids key ();
     match t.give_up_observer with Some f -> f r | None -> ()
   end
 
@@ -114,7 +114,8 @@ let note_submitted t (req : Proto.Request.t) =
   t.submitted <- t.submitted + 1;
   (match t.submission_observer with Some f -> f req | None -> ());
   match t.invariants with
-  | Some inv -> Hashtbl.replace inv.inv_submitted (Proto.Request.id_key req.Proto.Request.id) req
+  | Some inv ->
+      Sim.Int_tbl.replace inv.inv_submitted (Proto.Request.id_key req.Proto.Request.id) req
   | None -> ()
 
 let throughput_series t ~until = Sim.Metrics.Series.rate_per_sec t.throughput ~until
@@ -220,7 +221,7 @@ let create ?engine ?policy ?(tweak = fun c -> c) ?tracer ?registry ~system ~n ~s
       submitted = 0;
       reply_quorum;
       track_delivered_ids = false;
-      delivered_ids = Hashtbl.create 4096;
+      delivered_ids = Sim.Int_tbl.create 4096;
       invariants = None;
       adversary = None;
       byzantine = Array.make n false;
@@ -228,7 +229,7 @@ let create ?engine ?policy ?(tweak = fun c -> c) ?tracer ?registry ~system ~n ~s
       delivery_observer = None;
       submission_observer = None;
       gave_up = 0;
-      gave_up_ids = Hashtbl.create 256;
+      gave_up_ids = Sim.Int_tbl.create 256;
       shed_observer = None;
       give_up_observer = None;
     }
@@ -277,14 +278,14 @@ let create ?engine ?policy ?(tweak = fun c -> c) ?tracer ?registry ~system ~n ~s
         Proto.Batch.iter
           (fun (r : Proto.Request.t) ->
             let key = Proto.Request.id_key r.id in
-            if Hashtbl.mem seen key then
+            if Sim.Int_tbl.mem seen key then
               raise
                 (Invariant_violation
                    (Printf.sprintf
                       "EXACTLY-ONCE violation at t=%.3fs: node %d delivered request \
                        (client %d, ts %d) a second time at batch sn %d"
                       now_s node_id r.id.Proto.Request.client r.id.Proto.Request.ts sn));
-            Hashtbl.replace seen key ())
+            Sim.Int_tbl.replace seen key ())
           batch);
     (* Each delivering node sends one reply per request on its public NIC;
        charge that bandwidth in one aggregate operation. *)
@@ -313,7 +314,7 @@ let create ?engine ?policy ?(tweak = fun c -> c) ?tracer ?registry ~system ~n ~s
       Proto.Batch.iter
         (fun (r : Proto.Request.t) ->
           if t.track_delivered_ids then
-            Hashtbl.replace t.delivered_ids (Proto.Request.id_key r.id) ();
+            Sim.Int_tbl.replace t.delivered_ids (Proto.Request.id_key r.id) ();
           let client_dc = client_datacenter t ~client:r.id.Proto.Request.client in
           let reply_prop = Sim.Topology.latency node_dc client_dc in
           (* Reply = the quorum's reply reaching the client: the simulated
@@ -355,7 +356,7 @@ let create ?engine ?policy ?(tweak = fun c -> c) ?tracer ?registry ~system ~n ~s
     (if shed then
        match t.invariants with
        | Some inv when not t.byzantine.(node_id) ->
-           if Hashtbl.mem inv.inv_per_node.(node_id) (Proto.Request.id_key r.Proto.Request.id)
+           if Sim.Int_tbl.mem inv.inv_per_node.(node_id) (Proto.Request.id_key r.Proto.Request.id)
            then
              raise
                (Invariant_violation
@@ -477,11 +478,11 @@ let set_stragglers t stragglers =
 let enable_delivery_tracking t = t.track_delivered_ids <- true
 
 let request_delivered t (r : Proto.Request.t) =
-  Hashtbl.mem t.delivered_ids (Proto.Request.id_key r.id)
+  Sim.Int_tbl.mem t.delivered_ids (Proto.Request.id_key r.id)
 
 let request_terminal t ~client ~ts =
   let key = Proto.Request.id_key { Proto.Request.client; ts } in
-  Hashtbl.mem t.delivered_ids key || Hashtbl.mem t.gave_up_ids key
+  Sim.Int_tbl.mem t.delivered_ids key || Sim.Int_tbl.mem t.gave_up_ids key
 
 (* ------------------------------------------------------------------ *)
 (* Invariant checking *)
@@ -493,8 +494,8 @@ let enable_invariants t =
       Some
         {
           inv_batches = Hashtbl.create 4096;
-          inv_per_node = Array.init t.n (fun _ -> Hashtbl.create 4096);
-          inv_submitted = Hashtbl.create 4096;
+          inv_per_node = Array.init t.n (fun _ -> Sim.Int_tbl.create 4096);
+          inv_submitted = Sim.Int_tbl.create 4096;
         }
 
 let invariants_enabled t = t.invariants <> None
@@ -503,21 +504,27 @@ let check_liveness t =
   match t.invariants with
   | None -> invalid_arg "Cluster.check_liveness: call enable_invariants first"
   | Some inv ->
-      let missing = ref [] in
-      let n_missing = ref 0 in
-      Hashtbl.iter
-        (fun key r ->
-          (* "Explicitly gave up" is a legal terminal state under overload:
-             the client spent its retry budget and reported the request
-             abandoned.  Anything else undelivered is a violation. *)
-          if
-            (not (Hashtbl.mem t.delivered_ids key)) && not (Hashtbl.mem t.gave_up_ids key)
-          then begin
-            incr n_missing;
-            if !n_missing <= 10 then missing := r :: !missing
-          end)
-        inv.inv_submitted;
-      if !n_missing > 0 then begin
+      let missing =
+        Sim.Int_tbl.fold
+          (fun key r acc ->
+            (* "Explicitly gave up" is a legal terminal state under overload:
+               the client spent its retry budget and reported the request
+               abandoned.  Anything else undelivered is a violation. *)
+            if
+              (not (Sim.Int_tbl.mem t.delivered_ids key))
+              && not (Sim.Int_tbl.mem t.gave_up_ids key)
+            then r :: acc
+            else acc)
+          inv.inv_submitted []
+      in
+      let n_missing = List.length missing in
+      if n_missing > 0 then begin
+        (* Report in (client, ts) order, not the table's hash order. *)
+        let missing =
+          List.sort
+            (fun (a : Proto.Request.t) (b : Proto.Request.t) -> Proto.Request.compare_id a.id b.id)
+            missing
+        in
         let b = Buffer.create 256 in
         Buffer.add_string b
           (Printf.sprintf
@@ -525,16 +532,17 @@ let check_liveness t =
               reply quorum of %d nodes after all faults healed (%d explicitly gave up).  \
               First missing requests:"
              (Time_ns.to_sec_f (Engine.now t.engine))
-             !n_missing
-             (Hashtbl.length inv.inv_submitted)
+             n_missing
+             (Sim.Int_tbl.length inv.inv_submitted)
              t.reply_quorum t.gave_up);
-        List.iter
-          (fun (r : Proto.Request.t) ->
-            Buffer.add_string b
-              (Printf.sprintf "\n  client %d ts %d (submitted at t=%.3fs)"
-                 r.id.Proto.Request.client r.id.Proto.Request.ts
-                 (Time_ns.to_sec_f r.Proto.Request.submitted_at)))
-          (List.rev !missing);
-        if !n_missing > 10 then Buffer.add_string b "\n  ...";
+        List.iteri
+          (fun i (r : Proto.Request.t) ->
+            if i < 10 then
+              Buffer.add_string b
+                (Printf.sprintf "\n  client %d ts %d (submitted at t=%.3fs)"
+                   r.id.Proto.Request.client r.id.Proto.Request.ts
+                   (Time_ns.to_sec_f r.Proto.Request.submitted_at)))
+          missing;
+        if n_missing > 10 then Buffer.add_string b "\n  ...";
         raise (Invariant_violation (Buffer.contents b))
       end

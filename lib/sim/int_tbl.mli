@@ -1,0 +1,16 @@
+(** Int-keyed hash table with a mixing hash: the one table for per-request
+    host state keyed by {!Proto.Request.id_key}.
+
+    [Stdlib.Hashtbl.hash] folds an int's high 32 bits onto its low 32 bits
+    by XOR.  [id_key] puts the client in bits 31 and up and the timestamp
+    below, so that fold leaves roughly [(client lsr 1) lxor ts]: a few
+    thousand live clients with small timestamps land in a few thousand
+    buckets however large the table grows, and every lookup walks a long
+    chain.  This table multiplies the key by an odd 63-bit constant and
+    keeps the upper bits of the product instead, which spreads such keys
+    evenly (DESIGN.md §11).
+
+    Iteration order differs from [Stdlib.Hashtbl]'s; nothing that affects
+    simulated behaviour may depend on it. *)
+
+include Hashtbl.S with type key = int

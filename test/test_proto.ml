@@ -36,6 +36,89 @@ let test_request_id_key_injective () =
     done
   done
 
+(* The benchmark's live-id layout: 2,048 clients (ids 100,000 on) with 16
+   consecutive timestamps each.  Stdlib's generic hash folds these keys into
+   about 2,000 buckets; the table for id keys must spread them. *)
+let test_int_tbl_spreads_id_keys () =
+  let tbl = Sim.Int_tbl.create 1024 in
+  for client = 100_000 to 102_047 do
+    for ts = 0 to 15 do
+      Sim.Int_tbl.replace tbl (Proto.Request.id_key { Proto.Request.client; ts }) ()
+    done
+  done;
+  let st = Sim.Int_tbl.stats tbl in
+  check_int "bindings" 32_768 st.Hashtbl.num_bindings;
+  if st.Hashtbl.max_bucket_length > 8 then
+    Alcotest.failf "longest chain %d over %d buckets (want <= 8)" st.Hashtbl.max_bucket_length
+      st.Hashtbl.num_buckets
+
+type tbl_op = Add of int * int | Replace of int * int | Remove of int | Mem of int
+
+(* Int_tbl against an association-list model: newest binding first, so
+   [add] shadows, [replace] and [remove] touch the newest binding. *)
+let prop_int_tbl_model =
+  let key =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun client ts -> Proto.Request.id_key { Proto.Request.client; ts })
+            (int_range 100_000 100_007) (int_range 0 7);
+          int_range (-8) 8;
+          int;
+        ])
+  in
+  let op =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun k v -> Add (k, v)) key small_nat;
+          map2 (fun k v -> Replace (k, v)) key small_nat;
+          map (fun k -> Remove k) key;
+          map (fun k -> Mem k) key;
+        ])
+  in
+  QCheck.Test.make ~name:"Int_tbl agrees with an assoc-list model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 200) op))
+    (fun ops ->
+      let tbl = Sim.Int_tbl.create 1 in
+      let model =
+        List.fold_left
+          (fun m op ->
+            let m =
+              match op with
+              | Add (k, v) ->
+                  Sim.Int_tbl.add tbl k v;
+                  (k, v) :: m
+              | Replace (k, v) ->
+                  Sim.Int_tbl.replace tbl k v;
+                  if List.mem_assoc k m then
+                    let rec go = function
+                      | (k', _) :: rest when k' = k -> (k, v) :: rest
+                      | b :: rest -> b :: go rest
+                      | [] -> []
+                    in
+                    go m
+                  else (k, v) :: m
+              | Remove k ->
+                  Sim.Int_tbl.remove tbl k;
+                  List.remove_assoc k m
+              | Mem k ->
+                  if Sim.Int_tbl.mem tbl k <> List.mem_assoc k m then
+                    QCheck.Test.fail_reportf "mem %d disagrees" k;
+                  m
+            in
+            if Sim.Int_tbl.length tbl <> List.length m then
+              QCheck.Test.fail_reportf "length %d, model %d" (Sim.Int_tbl.length tbl)
+                (List.length m);
+            m)
+          [] ops
+      in
+      List.for_all
+        (fun (k, _) ->
+          Sim.Int_tbl.find_all tbl k
+          = List.filter_map (fun (k', v) -> if k' = k then Some v else None) model)
+        model)
+
 let test_request_wire_size () =
   let r = req ~client:1 ~ts:1 in
   (* 500 payload + 16 id + 64 signature. *)
@@ -141,6 +224,8 @@ let () =
       ( "requests",
         [
           Alcotest.test_case "id_key injective" `Quick test_request_id_key_injective;
+          Alcotest.test_case "Int_tbl spreads id keys" `Quick test_int_tbl_spreads_id_keys;
+          QCheck_alcotest.to_alcotest prop_int_tbl_model;
           Alcotest.test_case "wire sizes" `Quick test_request_wire_size;
         ] );
       ( "batches",
