@@ -1,21 +1,19 @@
-(* FIFO by arrival sequence with O(1) amortized add / remove / cut.
+(* FIFO by arrival sequence with O(1) amortized add / cut.
 
-   The common path exploits that arrival sequence numbers are assigned from
-   a per-node counter, so [add]s arrive in increasing order: a growable
-   circular buffer holds the requests; removal by id tombstones the slot
-   through an id -> logical-position index.  The only out-of-order inserts
-   are resurrections (a request returned after an aborted proposal, rare by
-   construction), kept in a small sorted side list that [cut]/[peek] merge
-   by sequence number. *)
-
-type slot = { s_seq : int; mutable s_req : Proto.Request.t option }
+   Arrival sequence numbers are assigned from a per-node counter, so [add]s
+   arrive in increasing order: a growable circular buffer of parallel seq
+   and request arrays holds them, sorted by seq.  Removal finds the slot by
+   binary search and overwrites its request with [hole], keeping its seq so
+   the buffer stays sorted.  The only out-of-order inserts are resurrections
+   (a request returned after an aborted proposal, rare by construction),
+   kept in a small sorted side list that [cut] merges by sequence number. *)
 
 type t = {
-  mutable buf : slot array;
+  mutable seqs : int array;
+  mutable reqs : Proto.Request.t array;
   mutable head : int;  (* logical index of the oldest live slot *)
   mutable tail : int;  (* logical index one past the newest *)
-  by_id : slot Sim.Int_tbl.t;  (* id key -> slot (buffer or resurrected) *)
-  mutable resurrected : (int * slot) list;  (* sorted ascending by seq *)
+  mutable resurrected : (int * Proto.Request.t) list;  (* sorted ascending by seq *)
   mutable count : int;
   mutable last_seq : int;
   (* Observability counters (DESIGN.md §8): two int stores per add, read
@@ -24,17 +22,19 @@ type t = {
   mutable max_count : int;
 }
 
+(* Marks an empty or removed buffer slot, by physical identity. *)
+let hole = Proto.Request.make ~client:0 ~ts:0 ~submitted_at:0 ()
+
 (* Every node holds one queue per bucket (n x 16 per leader), most of them
-   empty at any moment: start small and let traffic grow the ring and the
-   index. *)
+   empty at any moment: start small and let traffic grow the ring. *)
 let initial_capacity = 4
 
 let create () =
   {
-    buf = Array.make initial_capacity { s_seq = -1; s_req = None };
+    seqs = Array.make initial_capacity (-1);
+    reqs = Array.make initial_capacity hole;
     head = 0;
     tail = 0;
-    by_id = Sim.Int_tbl.create 1;
     resurrected = [];
     count = 0;
     last_seq = min_int;
@@ -43,85 +43,91 @@ let create () =
   }
 
 let length t = t.count
-let is_empty t = t.count = 0
 let total_added t = t.total_added
 let max_occupancy t = t.max_count
-let mem t id = Sim.Int_tbl.mem t.by_id (Proto.Request.id_key id)
+let index t logical = logical land (Array.length t.seqs - 1)
 
-let capacity t = Array.length t.buf
-
-let slot_at t logical = t.buf.(logical land (capacity t - 1))
-
-let set_slot t logical s = t.buf.(logical land (capacity t - 1)) <- s
-
-(* Drop leading tombstones so [head] points at a live slot (or reaches
-   [tail]). *)
+(* Drop leading holes so [head] points at a live slot (or reaches [tail]). *)
 let rec trim t =
-  if t.head < t.tail then begin
-    let s = slot_at t t.head in
-    if s.s_req = None then begin
-      t.head <- t.head + 1;
-      trim t
-    end
+  if t.head < t.tail && t.reqs.(index t t.head) == hole then begin
+    t.head <- t.head + 1;
+    trim t
   end
 
 let grow t =
-  let old_cap = capacity t in
+  let old_cap = Array.length t.seqs in
   let live = t.tail - t.head in
   if live = old_cap then begin
     let ncap = old_cap * 2 in
-    let nbuf = Array.make ncap { s_seq = -1; s_req = None } in
-    for i = 0 to live - 1 do
-      nbuf.((t.head + i) land (ncap - 1)) <- slot_at t (t.head + i)
+    let seqs = Array.make ncap (-1) and reqs = Array.make ncap hole in
+    for i = t.head to t.tail - 1 do
+      seqs.(i land (ncap - 1)) <- t.seqs.(index t i);
+      reqs.(i land (ncap - 1)) <- t.reqs.(index t i)
     done;
-    t.buf <- nbuf
+    t.seqs <- seqs;
+    t.reqs <- reqs
   end
 
-let insert_resurrected t seq slot =
+let rec search t seq lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let s = t.seqs.(index t mid) in
+    if s = seq then mid else if s < seq then search t seq (mid + 1) hi else search t seq lo mid
+
+(* Logical index of the live buffer slot holding [seq], or -1. *)
+let find_live t seq =
+  let i = search t seq t.head t.tail in
+  if i >= 0 && t.reqs.(index t i) != hole then i else -1
+
+let mem t ~seq = find_live t seq >= 0 || List.mem_assoc seq t.resurrected
+
+let insert_resurrected t seq r =
   let rec go = function
-    | [] -> [ (seq, slot) ]
+    | [] -> [ (seq, r) ]
     | ((s, _) as hd) :: rest when s < seq -> hd :: go rest
-    | rest -> (seq, slot) :: rest
+    | rest -> (seq, r) :: rest
   in
   t.resurrected <- go t.resurrected
 
-let add t ~seq (r : Proto.Request.t) =
-  let key = Proto.Request.id_key r.id in
-  if Sim.Int_tbl.mem t.by_id key then false
-  else begin
-    let slot = { s_seq = seq; s_req = Some r } in
-    if seq > t.last_seq then begin
+let add t ~seq r =
+  let fresh = seq > t.last_seq in
+  if fresh || not (mem t ~seq) then begin
+    if fresh then begin
       grow t;
-      set_slot t t.tail slot;
+      t.seqs.(index t t.tail) <- seq;
+      t.reqs.(index t t.tail) <- r;
       t.tail <- t.tail + 1;
       t.last_seq <- seq
     end
-    else insert_resurrected t seq slot;
-    Sim.Int_tbl.replace t.by_id key slot;
+    else insert_resurrected t seq r;
     t.count <- t.count + 1;
     t.total_added <- t.total_added + 1;
     if t.count > t.max_count then t.max_count <- t.count;
     true
   end
+  else false
 
-let remove t id =
-  let key = Proto.Request.id_key id in
-  match Sim.Int_tbl.find_opt t.by_id key with
-  | None -> None
-  | Some slot ->
-      let r = slot.s_req in
-      slot.s_req <- None;
-      Sim.Int_tbl.remove t.by_id key;
-      t.count <- t.count - 1;
-      t.resurrected <- List.filter (fun (_, s) -> s.s_req <> None) t.resurrected;
-      trim t;
-      r
+let remove t ~seq =
+  let i = find_live t seq in
+  if i >= 0 then begin
+    t.reqs.(index t i) <- hole;
+    t.count <- t.count - 1;
+    trim t;
+    true
+  end
+  else if List.mem_assoc seq t.resurrected then begin
+    t.resurrected <- List.remove_assoc seq t.resurrected;
+    t.count <- t.count - 1;
+    true
+  end
+  else false
 
 let resurrect t ~seq r = ignore (add t ~seq r)
 
 let oldest_seq t =
   trim t;
-  let buf_seq = if t.head < t.tail then Some (slot_at t t.head).s_seq else None in
+  let buf_seq = if t.head < t.tail then Some t.seqs.(index t t.head) else None in
   match (t.resurrected, buf_seq) with
   | [], None -> None
   | [], Some s -> Some s
@@ -130,46 +136,21 @@ let oldest_seq t =
 
 let pop_oldest t =
   trim t;
-  let from_buf () =
-    if t.head < t.tail then begin
-      let slot = slot_at t t.head in
-      t.head <- t.head + 1;
-      match slot.s_req with
-      | Some r ->
-          slot.s_req <- None;
-          Sim.Int_tbl.remove t.by_id (Proto.Request.id_key r.Proto.Request.id);
-          t.count <- t.count - 1;
-          Some r
-      | None -> None (* trim guarantees live, but stay safe *)
-    end
-    else None
-  in
   match t.resurrected with
-  | (rs, slot) :: rest ->
-      let buf_seq = if t.head < t.tail then Some (slot_at t t.head).s_seq else None in
-      if buf_seq = None || rs < Option.get buf_seq then begin
-        t.resurrected <- rest;
-        match slot.s_req with
-        | Some r ->
-            slot.s_req <- None;
-            Sim.Int_tbl.remove t.by_id (Proto.Request.id_key r.Proto.Request.id);
-            t.count <- t.count - 1;
-            Some r
-        | None -> from_buf ()
+  | (rs, r) :: rest when t.head = t.tail || rs < t.seqs.(index t t.head) ->
+      t.resurrected <- rest;
+      t.count <- t.count - 1;
+      Some r
+  | _ ->
+      if t.head < t.tail then begin
+        let i = index t t.head in
+        let r = t.reqs.(i) in
+        t.reqs.(i) <- hole;
+        t.head <- t.head + 1;
+        t.count <- t.count - 1;
+        Some r
       end
-      else from_buf ()
-  | [] -> from_buf ()
-
-let peek_oldest t =
-  trim t;
-  let buf_req () =
-    if t.head < t.tail then (slot_at t t.head).s_req else None
-  in
-  match t.resurrected with
-  | (rs, slot) :: _ ->
-      let buf_seq = if t.head < t.tail then Some (slot_at t t.head).s_seq else None in
-      if buf_seq = None || rs < Option.get buf_seq then slot.s_req else buf_req ()
-  | [] -> buf_req ()
+      else None
 
 let cut t ~max =
   let out = ref [] in
@@ -189,29 +170,7 @@ let clear t =
      observability counters; only the pending contents go. *)
   t.head <- 0;
   t.tail <- 0;
-  t.buf <- Array.make initial_capacity { s_seq = -1; s_req = None };
-  Sim.Int_tbl.reset t.by_id;
+  t.seqs <- Array.make initial_capacity (-1);
+  t.reqs <- Array.make initial_capacity hole;
   t.resurrected <- [];
   t.count <- 0
-
-let iter f t =
-  (* Iterate in sequence order: merge buffer and resurrected list. *)
-  let res = ref t.resurrected in
-  for i = t.head to t.tail - 1 do
-    let s = slot_at t i in
-    (match s.s_req with
-    | Some _ ->
-        (* Emit any resurrected entries older than this slot first. *)
-        let rec drain () =
-          match !res with
-          | (rs, rslot) :: rest when rs < s.s_seq ->
-              (match rslot.s_req with Some r -> f r | None -> ());
-              res := rest;
-              drain ()
-          | _ -> ()
-        in
-        drain ();
-        (match s.s_req with Some r -> f r | None -> ())
-    | None -> ())
-  done;
-  List.iter (fun (_, s) -> match s.s_req with Some r -> f r | None -> ()) !res

@@ -44,9 +44,10 @@ type t = {
   threshold_group : Iss_crypto.Threshold.group;
   log : Log.t;
   buckets : Bucket_queue.t array;
-  arrival_seq : int Sim.Int_tbl.t;  (* request id key -> arrival order *)
+  arrival_seq : Sim.Flat_tbl.t;
+      (* request id key -> arrival seq: the node's one request index *)
   mutable arrival_counter : int;
-  seen_proposed : int Sim.Int_tbl.t;  (* id key -> sn accepted this epoch *)
+  seen_proposed : Sim.Flat_tbl.t;  (* id key -> sn accepted this epoch *)
   proposed : (int, Proto.Batch.t) Hashtbl.t;  (* sn -> batch I proposed *)
   watermarks : Watermarks.t;
   policy : Leader_policy.t;
@@ -243,14 +244,13 @@ let epoch_of_instance t instance = instance / t.config.Config.n
 (* Request intake (§3.7) *)
 
 let request_acceptable t (r : Proto.Request.t) =
-  (* Duplicate suppression for retransmitting clients: refuse copies of
-     requests already committed (watermarks) and copies of requests already
-     accepted into an in-flight proposal this epoch (seen_proposed) — a
-     retransmission re-entering the queues while the original sits in an
-     undecided batch would make this node cut it into a second batch, which
-     honest followers must then reject wholesale. *)
-  (not (Watermarks.delivered t.watermarks r.id))
-  && (not (Sim.Int_tbl.mem t.seen_proposed (Proto.Request.id_key r.id)))
+  (* Duplicate suppression for retransmitting clients, past the caller's
+     check for copies of requests already committed: refuse copies of
+     requests already accepted into an in-flight proposal this epoch
+     (seen_proposed) — a retransmission re-entering the queues while the
+     original sits in an undecided batch would make this node cut it into a
+     second batch, which honest followers must then reject wholesale. *)
+  (not (Sim.Flat_tbl.mem t.seen_proposed (Proto.Request.id_key r.id)))
   && ((not t.config.Config.client_signatures) || Proto.Request.signature_valid r)
   (* Relaxed mode (large benchmarks) skips only the watermark-window
      back-pressure check; the dedup above stays on in both modes. *)
@@ -264,16 +264,22 @@ let note_pushback t (r : Proto.Request.t) ~retry_after ~shed =
   t.pushback_count <- t.pushback_count + 1;
   match t.hooks.on_pushback with Some f -> f t r ~retry_after ~shed | None -> ()
 
-(* Admission control (flow_control only).  Returns whether [r] may be added
-   to [q]; sheds — the incoming request (Reject_new) or the oldest queued
-   one (Drop_oldest) — when the bucket is at capacity.  A request already
-   present is always "admitted": Bucket_queue.add is a no-op for it, and
-   shedding a retransmission's victim would punish an unrelated request. *)
-let admit_request t q (r : Proto.Request.t) =
+(* The arrival seq the node's index holds for [key], or -1. *)
+let indexed_seq t key =
+  let slot = Sim.Flat_tbl.find t.arrival_seq key in
+  if slot < 0 then -1 else Sim.Flat_tbl.get t.arrival_seq slot 0
+
+(* Admission control (flow_control only).  Returns whether [r], indexed
+   under [seq] (-1 when not indexed), may be added to [q]; sheds — the
+   incoming request (Reject_new) or the oldest queued one (Drop_oldest) —
+   when the bucket is at capacity.  A request already present is always
+   "admitted": Bucket_queue.add is a no-op for it, and shedding a
+   retransmission's victim would punish an unrelated request. *)
+let admit_request t q (r : Proto.Request.t) ~seq =
   let cfg = t.config in
   (not cfg.Config.flow_control)
   || Bucket_queue.length q < cfg.Config.bucket_capacity
-  || Bucket_queue.mem q r.Proto.Request.id
+  || (seq >= 0 && Bucket_queue.mem q ~seq)
   ||
   let shed_hint = 2 * cfg.Config.pushback_hint in
   match cfg.Config.shed_policy with
@@ -298,15 +304,16 @@ let rec submit t (r : Proto.Request.t) =
     let key = Proto.Request.id_key r.id in
     let bucket = Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id in
     let q = t.buckets.(bucket) in
-    if admit_request t q r then begin
+    let seq = indexed_seq t key in
+    if admit_request t q r ~seq then begin
       let seq =
-        match Sim.Int_tbl.find_opt t.arrival_seq key with
-        | Some s -> s  (* retransmission: keep the original arrival order *)
-        | None ->
-            let s = t.arrival_counter in
-            t.arrival_counter <- s + 1;
-            Sim.Int_tbl.replace t.arrival_seq key s;
-            s
+        if seq >= 0 then seq  (* retransmission: keep the original arrival order *)
+        else begin
+          let s = t.arrival_counter in
+          t.arrival_counter <- s + 1;
+          Sim.Flat_tbl.set t.arrival_seq (Sim.Flat_tbl.add t.arrival_seq key) 0 s;
+          s
+        end
       in
       if Bucket_queue.add q ~seq r then begin
         trace_event t Obs.Tracer.Enqueue r;
@@ -398,7 +405,9 @@ and try_cut t (b : batcher) =
       b.last_cut <- now;
       Hashtbl.replace t.proposed sn batch;
       Proto.Batch.iter
-        (fun r -> Sim.Int_tbl.replace t.seen_proposed (Proto.Request.id_key r.Proto.Request.id) sn)
+        (fun r ->
+          let key = Proto.Request.id_key r.Proto.Request.id in
+          Sim.Flat_tbl.set t.seen_proposed (Sim.Flat_tbl.add t.seen_proposed key) 0 sn)
         batch;
       (match b.timer with
       | Some timer ->
@@ -474,12 +483,15 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
                Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id
              in
              let seen_ok =
-               match Sim.Int_tbl.find_opt t.seen_proposed key with
-               | Some sn' -> sn' = sn
-               | None ->
-                   Sim.Int_tbl.replace t.seen_proposed key sn;
-                   recorded := key :: !recorded;
-                   true
+               let known = Sim.Flat_tbl.length t.seen_proposed in
+               let slot = Sim.Flat_tbl.add t.seen_proposed key in
+               if Sim.Flat_tbl.length t.seen_proposed = known then
+                 Sim.Flat_tbl.get t.seen_proposed slot 0 = sn
+               else begin
+                 Sim.Flat_tbl.set t.seen_proposed slot 0 sn;
+                 recorded := key :: !recorded;
+                 true
+               end
              in
              (* (a) request validity: a forged client signature proves the
                 leader fabricated or tampered with the request. *)
@@ -507,7 +519,7 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
            batch
        with Exit -> ());
       if !verdict <> Orderer_intf.Accept then
-        List.iter (Sim.Int_tbl.remove t.seen_proposed) !recorded;
+        List.iter (Sim.Flat_tbl.remove t.seen_proposed) !recorded;
       !verdict
 
 (* ------------------------------------------------------------------ *)
@@ -520,15 +532,14 @@ let resurrect t (batch : Proto.Batch.t) =
       if not (Watermarks.delivered t.watermarks r.id) then begin
         let bucket = Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id in
         let q = t.buckets.(bucket) in
+        (* I cut [r] myself and it is not committed, so it is still indexed
+           (the invariant in bucket_queue.mli). *)
+        let seq = indexed_seq t key in
+        assert (seq >= 0);
         (* Resurrection goes through the same admission gate as submit, so
            bounded occupancy stays a structural invariant even when an
            aborted batch returns while the bucket has refilled. *)
-        if admit_request t q r then begin
-          let seq =
-            match Sim.Int_tbl.find_opt t.arrival_seq key with
-            | Some s -> s
-            | None -> t.arrival_counter
-          in
+        if admit_request t q r ~seq then begin
           Bucket_queue.resurrect q ~seq r;
           match t.bucket_batcher.(bucket) with Some b -> try_cut t b | None -> ()
         end
@@ -546,29 +557,21 @@ let rec process_commit t ~sn proposal ~resurrectable =
     | _ -> ());
     (match proposal with
     | Proto.Proposal.Batch batch ->
-        let strict = t.config.Config.strict_validation in
         Proto.Batch.iter
           (fun (r : Proto.Request.t) ->
-            if strict then begin
-              Watermarks.note_delivered t.watermarks r.id;
-              Sim.Int_tbl.remove t.arrival_seq (Proto.Request.id_key r.id);
+            (* Record the delivery (this is what rejects re-submitted copies
+               of committed requests), then one index lookup: a node that
+               never held the request stops there, one that did drops the
+               index entry and the queue slot together. *)
+            Watermarks.note_delivered t.watermarks r.id;
+            let key = Proto.Request.id_key r.id in
+            let seq = indexed_seq t key in
+            if seq >= 0 then begin
+              Sim.Flat_tbl.remove t.arrival_seq key;
               let bucket =
                 Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id
               in
-              ignore (Bucket_queue.remove t.buckets.(bucket) r.id)
-            end
-            else begin
-              (* Relaxed: record delivery (cheap ring bitmap — this is what
-                 rejects re-submitted copies of committed requests) and
-                 evict the request if this node holds it; non-holders pay
-                 one hash probe. *)
-              Watermarks.note_delivered t.watermarks r.id;
-              let bucket =
-                Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id
-              in
-              match Bucket_queue.remove t.buckets.(bucket) r.id with
-              | Some _ -> Sim.Int_tbl.remove t.arrival_seq (Proto.Request.id_key r.id)
-              | None -> ()
+              ignore (Bucket_queue.remove t.buckets.(bucket) ~seq)
             end)
           batch
     | Proto.Proposal.Nil -> (
@@ -700,7 +703,7 @@ and start_epoch t ~epoch ~start_sn ~leaders =
         ~epoch ~leaders
     in
     Hashtbl.replace t.epoch_bounds epoch (start_sn, len);
-    Sim.Int_tbl.reset t.seen_proposed;
+    Sim.Flat_tbl.clear t.seen_proposed;
     (* Some positions may already be committed (state transfer outran the
        epoch machinery); count only the genuinely open ones. *)
     let remaining = ref 0 in
@@ -1076,8 +1079,8 @@ and jump_to_checkpoint t (cert : Proto.Message.checkpoint_cert) =
     Hashtbl.iter (fun _ inst -> Orderer_intf.stop inst) t.orderers;
     Hashtbl.reset t.orderers;
     Hashtbl.reset t.proposed;
-    Sim.Int_tbl.reset t.seen_proposed;
-    Sim.Int_tbl.reset t.arrival_seq;
+    Sim.Flat_tbl.clear t.seen_proposed;
+    Sim.Flat_tbl.clear t.arrival_seq;
     Array.iter Bucket_queue.clear t.buckets;
     let stale_epochs =
       Hashtbl.fold
@@ -1163,9 +1166,9 @@ let create ~config ~id ~engine ~send:raw_send ~orderer_factory ?(hooks = default
       threshold_group = Iss_crypto.Threshold.setup ~n ~t:(min n ((2 * f) + 1));
       log = Log.create ();
       buckets = Array.init num_buckets (fun _ -> Bucket_queue.create ());
-      arrival_seq = Sim.Int_tbl.create 1024;
+      arrival_seq = Sim.Flat_tbl.create ~fields:1;
       arrival_counter = 0;
-      seen_proposed = Sim.Int_tbl.create 1024;
+      seen_proposed = Sim.Flat_tbl.create ~fields:1;
       proposed = Hashtbl.create 64;
       watermarks = Watermarks.create ~window:config.Config.client_watermark_window;
       policy = Leader_policy.create config;

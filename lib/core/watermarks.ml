@@ -1,36 +1,51 @@
-(* Per-client delivery tracking with an allocation-free ring bitmap.
+(* Per-client delivery tracking.
 
    For each client we keep [floor] (length of the contiguously delivered
-   timestamp prefix) and a ring of bits for timestamps in
-   [floor, floor + capacity).  The watermark validity check bounds accepted
-   timestamps to [floor + window), and floors across nodes diverge by at
-   most the in-flight window, so [capacity = 4 * window] comfortably covers
-   every timestamp that can be delivered while its bit is still in range.
-   The rare overflow advances the floor to keep the triggering timestamp in
-   range, clearing the ring slots whose timestamps fell below the new floor
-   (stale bits would alias fresh timestamps and answer false-positive
-   [delivered], silently suppressing live requests).  Timestamps forced
-   below the floor read as delivered, which only risks suppressing a
-   duplicate proposal attempt — never a double delivery. *)
+   timestamp prefix) and the set of timestamps delivered out of order above
+   it.  The watermark validity check bounds accepted timestamps to
+   [floor + window), and floors across nodes diverge by at most the
+   in-flight window, so [capacity = 4 * window] comfortably covers every
+   timestamp that can be delivered while it is still tracked.
 
-type client_state = {
+   The common case keeps both inline in a flat client table: field 0 is the
+   floor, field 1 a mask whose bit [i] records [floor + i] for
+   [i < inline_bits = min 62 capacity].  A delivery that lands [inline_bits]
+   or more above the floor spills the client, for good, to a ring bitmap
+   over [floor, floor + capacity) kept in a side table; field 1 then reads
+   [spilled].  Both representations answer exactly the same questions.
+
+   The ring's rare overflow advances the floor to keep the triggering
+   timestamp in range, clearing the ring slots whose timestamps fell below
+   the new floor (stale bits would alias fresh timestamps and answer
+   false-positive [delivered], silently suppressing live requests).
+   Timestamps forced below the floor read as delivered, which only risks
+   suppressing a duplicate proposal attempt — never a double delivery. *)
+
+type ring = {
   mutable floor : int;
   bits : Bytes.t;  (* ring bitmap over [floor, floor + capacity) *)
 }
 
-type t = { window : int; capacity : int; clients : client_state Sim.Int_tbl.t }
+type t = {
+  window : int;
+  capacity : int;
+  inline_bits : int;
+  clients : Sim.Flat_tbl.t;  (* client -> floor, mask or [spilled] *)
+  rings : ring Sim.Int_tbl.t;  (* spilled clients only *)
+}
+
+let spilled = -1
 
 let create ~window =
   assert (window > 0);
-  { window; capacity = 4 * window; clients = Sim.Int_tbl.create 64 }
-
-let state t client =
-  match Sim.Int_tbl.find_opt t.clients client with
-  | Some s -> s
-  | None ->
-      let s = { floor = 0; bits = Bytes.make ((t.capacity + 7) / 8) '\000' } in
-      Sim.Int_tbl.replace t.clients client s;
-      s
+  let capacity = 4 * window in
+  {
+    window;
+    capacity;
+    inline_bits = min 62 capacity;
+    clients = Sim.Flat_tbl.create ~fields:2;
+    rings = Sim.Int_tbl.create 1;
+  }
 
 let get_bit t s ts =
   let i = ts mod t.capacity in
@@ -43,15 +58,10 @@ let set_bit t s ts v =
   let byte = if v then byte lor mask else byte land lnot mask in
   Bytes.unsafe_set s.bits (i lsr 3) (Char.unsafe_chr byte)
 
-let valid t (id : Proto.Request.id) =
-  let s = state t id.client in
-  id.ts >= s.floor && id.ts < s.floor + t.window
-
-let note_delivered t (id : Proto.Request.id) =
-  let s = state t id.client in
-  if id.ts >= s.floor then
-    if id.ts < s.floor + t.capacity then begin
-      set_bit t s id.ts true;
+let ring_note_delivered t s ts =
+  if ts >= s.floor then
+    if ts < s.floor + t.capacity then begin
+      set_bit t s ts true;
       (* Advance the floor over the contiguous delivered prefix, clearing
          bits as they leave the window. *)
       while get_bit t s s.floor do
@@ -69,7 +79,7 @@ let note_delivered t (id : Proto.Request.id) =
          fresh timestamp and silently suppress it forever.  Clear exactly
          those slots; bits in the surviving overlap keep denoting the same
          timestamp and stay. *)
-      let new_floor = id.ts + 1 - t.capacity in
+      let new_floor = ts + 1 - t.capacity in
       let stale = new_floor - s.floor in
       if stale >= t.capacity then Bytes.fill s.bits 0 (Bytes.length s.bits) '\000'
       else
@@ -77,21 +87,65 @@ let note_delivered t (id : Proto.Request.id) =
           set_bit t s ts false
         done;
       s.floor <- new_floor;
-      (* Record the delivery that triggered the degrade (the old code lost
-         it: the new floor sits below [id.ts], so without its bit the id
-         would read as not-delivered and could be delivered twice). *)
-      set_bit t s id.ts true;
+      (* Record the delivery that triggered the degrade: the new floor sits
+         below [ts], so without its bit the id would read as not delivered
+         and could be delivered twice. *)
+      set_bit t s ts true;
       while get_bit t s s.floor do
         set_bit t s s.floor false;
         s.floor <- s.floor + 1
       done
     end
 
-let delivered t (id : Proto.Request.id) =
-  match Sim.Int_tbl.find_opt t.clients id.client with
-  | None -> false
-  | Some s ->
-      id.ts < s.floor || (id.ts < s.floor + t.capacity && get_bit t s id.ts)
+let spill t client ~floor ~mask =
+  let s = { floor; bits = Bytes.make ((t.capacity + 7) / 8) '\000' } in
+  for i = 0 to t.inline_bits - 1 do
+    if mask land (1 lsl i) <> 0 then set_bit t s (floor + i) true
+  done;
+  Sim.Int_tbl.replace t.rings client s;
+  s
 
-let floor t client = (state t client).floor
+let note_delivered t (id : Proto.Request.id) =
+  let slot = Sim.Flat_tbl.add t.clients id.client in
+  let floor = Sim.Flat_tbl.get t.clients slot 0 and mask = Sim.Flat_tbl.get t.clients slot 1 in
+  if mask = spilled then ring_note_delivered t (Sim.Int_tbl.find t.rings id.client) id.ts
+  else
+    let d = id.ts - floor in
+    if d < 0 then ()
+    else if d < t.inline_bits then begin
+      let mask = ref (mask lor (1 lsl d)) and floor = ref floor in
+      while !mask land 1 <> 0 do
+        mask := !mask lsr 1;
+        incr floor
+      done;
+      Sim.Flat_tbl.set t.clients slot 0 !floor;
+      Sim.Flat_tbl.set t.clients slot 1 !mask
+    end
+    else begin
+      Sim.Flat_tbl.set t.clients slot 1 spilled;
+      ring_note_delivered t (spill t id.client ~floor ~mask) id.ts
+    end
+
+let floor t client =
+  let slot = Sim.Flat_tbl.find t.clients client in
+  if slot < 0 then 0
+  else if Sim.Flat_tbl.get t.clients slot 1 = spilled then (Sim.Int_tbl.find t.rings client).floor
+  else Sim.Flat_tbl.get t.clients slot 0
+
+let valid t (id : Proto.Request.id) =
+  let floor = floor t id.client in
+  id.ts >= floor && id.ts < floor + t.window
+
+let delivered t (id : Proto.Request.id) =
+  let slot = Sim.Flat_tbl.find t.clients id.client in
+  if slot < 0 then false
+  else
+    let mask = Sim.Flat_tbl.get t.clients slot 1 in
+    if mask = spilled then
+      let s = Sim.Int_tbl.find t.rings id.client in
+      id.ts < s.floor || (id.ts < s.floor + t.capacity && get_bit t s id.ts)
+    else
+      let d = id.ts - Sim.Flat_tbl.get t.clients slot 0 in
+      d < 0 || (d < t.inline_bits && mask land (1 lsl d) <> 0)
+
 let window t = t.window

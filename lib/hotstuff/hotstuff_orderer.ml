@@ -37,10 +37,8 @@ module Orderer = struct
     pending_decide : (string, Msg.chain_node) Hashtbl.t;
         (* committed tips whose branch walk stalled on a missing ancestor *)
     mutable sync_timer : Engine.timer_id option;  (* fetch retransmission *)
+    genesis_parent : Hash.t;  (* the instance's chain root, hashed once *)
   }
-
-  let genesis_parent t =
-    Hash.of_string (Printf.sprintf "hs-genesis:%d" t.seg.Core.Segment.instance)
 
   let create ctx seg =
     let n = ctx.Core.Orderer_intf.config.Core.Config.n in
@@ -72,6 +70,8 @@ module Orderer = struct
       missing = Hashtbl.create 4;
       pending_decide = Hashtbl.create 4;
       sync_timer = None;
+      genesis_parent =
+        Hash.of_string (Printf.sprintf "hs-genesis:%d" seg.Core.Segment.instance);
     }
 
   let current_leader t = (t.seg.Core.Segment.leader + t.rotations) mod t.n
@@ -174,7 +174,7 @@ module Orderer = struct
      nothing on the branch is announced until it is whole. *)
   let rec decide_branch t (node : Msg.chain_node) =
     let ancestors_ok =
-      Hash.equal node.Msg.parent (genesis_parent t)
+      Hash.equal node.Msg.parent t.genesis_parent
       ||
       match Hashtbl.find_opt t.chain (Hash.raw node.Msg.parent) with
       | Some parent -> decide_branch t parent
@@ -319,7 +319,7 @@ module Orderer = struct
                Safe: a committed value implies 2f+1 replicas locked >= 0,
                and any QC for a genesis restart would need 2f+1 votes, which
                intersect them in a correct replica that refuses this arm. *)
-            Hash.equal node.Msg.parent (genesis_parent t) && t.locked_view < 0
+            Hash.equal node.Msg.parent t.genesis_parent && t.locked_view < 0
         | Some qc ->
             qc.Msg.qc_view < node.Msg.view
             && Hash.equal node.Msg.parent qc.Msg.qc_digest
@@ -428,7 +428,7 @@ module Orderer = struct
     let parent, justify =
       match t.high_qc with
       | Some qc -> (qc.Msg.qc_digest, Some qc)
-      | None -> (genesis_parent t, None)
+      | None -> (t.genesis_parent, None)
     in
     (* A rotated leader's first proposal may legitimately carry a justify
        that is not view-1; replicas accept it because the justify is their
@@ -515,7 +515,7 @@ module Orderer = struct
     arm_rec_timer t;
     if t.seg.Core.Segment.leader = me t then begin
       t.i_am_leader <- true;
-      propose_next t ~view:0 ~parent:(genesis_parent t) ~justify:None
+      propose_next t ~view:0 ~parent:t.genesis_parent ~justify:None
     end
 
   let on_message t ~src msg =

@@ -52,9 +52,10 @@ val compare_id : id -> id -> int
 val id_key : id -> int
 (** Injective packing of an id into one int: the client in bits 31 and up,
     the timestamp below.  Supports clients < 2^31 and timestamps < 2^31.
-    Key tables with it through {!Sim.Int_tbl}, never [Stdlib.Hashtbl]:
-    the generic hash folds the client onto the timestamp and collapses
-    live ids into a few buckets (DESIGN.md §11). *)
+    Key tables with it through {!Sim.Flat_tbl} (int fields) or
+    {!Sim.Int_tbl}, never [Stdlib.Hashtbl]: the generic hash folds the
+    client onto the timestamp and collapses live ids into a few buckets
+    (DESIGN.md §11). *)
 
 val bucket_of_id : num_buckets:int -> id -> int
 (** The paper's request-to-bucket map (§3.7): a uniform hash of

@@ -19,26 +19,31 @@ let test_bq_fifo () =
     (Array.to_list (Array.map (fun (r : Proto.Request.t) -> r.id.Proto.Request.ts) batch));
   check_int "remaining" 6 (Core.Bucket_queue.length q)
 
+(* Per request id, idempotence is the node's (test_iss, "retransmission held
+   once"): it re-offers a retransmission under its first arrival seq. *)
 let test_bq_idempotent_add () =
   let q = Core.Bucket_queue.create () in
   let r = req ~client:1 ~ts:5 in
   check_bool "first add" true (Core.Bucket_queue.add q ~seq:0 r);
-  check_bool "duplicate rejected" false (Core.Bucket_queue.add q ~seq:1 r);
-  check_int "held once" 1 (Core.Bucket_queue.length q)
+  check_bool "second add" true (Core.Bucket_queue.add q ~seq:1 (req ~client:1 ~ts:6));
+  check_bool "duplicate seq rejected" false (Core.Bucket_queue.add q ~seq:0 r);
+  check_int "held once" 2 (Core.Bucket_queue.length q);
+  ignore (Core.Bucket_queue.cut q ~max:1);
+  check_bool "re-add after cut" true (Core.Bucket_queue.add q ~seq:0 r);
+  check_bool "duplicate resurrected seq rejected" false (Core.Bucket_queue.add q ~seq:0 r);
+  check_int "resurrected held once" 2 (Core.Bucket_queue.length q)
 
 let test_bq_remove () =
   let q = Core.Bucket_queue.create () in
   let r1 = req ~client:1 ~ts:1 and r2 = req ~client:1 ~ts:2 in
   ignore (Core.Bucket_queue.add q ~seq:0 r1);
   ignore (Core.Bucket_queue.add q ~seq:1 r2);
-  (match Core.Bucket_queue.remove q r1.id with
-  | Some r -> check_int "removed the right one" 1 r.id.Proto.Request.ts
-  | None -> Alcotest.fail "remove failed");
-  check_bool "absent remove" true (Core.Bucket_queue.remove q r1.id = None);
+  check_bool "removed" true (Core.Bucket_queue.remove q ~seq:0);
+  check_bool "absent remove" false (Core.Bucket_queue.remove q ~seq:0);
   check_int "one left" 1 (Core.Bucket_queue.length q);
-  (match Core.Bucket_queue.peek_oldest q with
-  | Some r -> check_int "r2 now oldest" 2 r.id.Proto.Request.ts
-  | None -> Alcotest.fail "peek failed")
+  (match Core.Bucket_queue.cut q ~max:1 with
+  | [| r |] -> check_int "r2 now oldest" 2 r.id.Proto.Request.ts
+  | _ -> Alcotest.fail "cut failed")
 
 let test_bq_resurrect_order () =
   let q = Core.Bucket_queue.create () in
@@ -52,16 +57,20 @@ let test_bq_resurrect_order () =
   Alcotest.(check (list int)) "resurrected keeps reception order" [ 1; 3; 4 ]
     (Array.to_list (Array.map (fun (r : Proto.Request.t) -> r.id.Proto.Request.ts) order))
 
-(* Model-based property: the queue behaves like a sorted association list. *)
+(* Model-based property: the queue behaves like a sorted association list
+   from arrival seq to timestamp.  [`Add ts] takes the next fresh seq;
+   [`Readd s] re-offers seq [s] (mod the seqs issued so far), which must be
+   refused while [s] is held and otherwise return at [s]'s place. *)
 let prop_bq_model =
   let open QCheck in
-  (* Operations: add ts, remove ts, cut k. *)
+  (* Operations: add ts, re-add seq, remove seq, cut k. *)
   let op_gen =
     Gen.(
       frequency
         [
           (6, map (fun ts -> `Add ts) (int_range 0 50));
-          (2, map (fun ts -> `Remove ts) (int_range 0 50));
+          (2, map (fun s -> `Readd s) (int_range 0 50));
+          (2, map (fun s -> `Remove s) (int_range 0 50));
           (2, map (fun k -> `Cut k) (int_range 1 5));
         ])
   in
@@ -77,16 +86,21 @@ let prop_bq_model =
           match op with
           | `Add ts ->
               let r = req ~client:7 ~ts in
-              let added = Core.Bucket_queue.add q ~seq:!seq r in
-              let model_has = List.exists (fun (_, t) -> t = ts) !model in
-              if added = model_has then ok := false;
-              if added then model := !model @ [ (!seq, ts) ];
+              if not (Core.Bucket_queue.add q ~seq:!seq r) then ok := false;
+              model := !model @ [ (!seq, ts) ];
               incr seq
-          | `Remove ts ->
-              let removed = Core.Bucket_queue.remove q { Proto.Request.client = 7; ts } in
-              let model_has = List.exists (fun (_, t) -> t = ts) !model in
-              if (removed <> None) <> model_has then ok := false;
-              model := List.filter (fun (_, t) -> t <> ts) !model
+          | `Readd s when !seq > 0 ->
+              let s = s mod !seq in
+              let added = Core.Bucket_queue.add q ~seq:s (req ~client:7 ~ts:(100 + s)) in
+              let model_has = List.mem_assoc s !model in
+              if added = model_has || not (Core.Bucket_queue.mem q ~seq:s) then ok := false;
+              if added then model := (s, 100 + s) :: !model
+          | `Readd _ -> ()
+          | `Remove s ->
+              let removed = Core.Bucket_queue.remove q ~seq:s in
+              if removed <> List.mem_assoc s !model then ok := false;
+              if Core.Bucket_queue.mem q ~seq:s then ok := false;
+              model := List.remove_assoc s !model
           | `Cut k ->
               let cut = Core.Bucket_queue.cut q ~max:k in
               let sorted = List.sort compare !model in
@@ -587,6 +601,58 @@ let prop_watermarks_overflow_no_false_positive =
             [ 0; 1; 2 ])
         ops)
 
+(* Watermarks against a reference model of its documented semantics: a
+   floor plus the set of timestamps delivered above it, with the ring's
+   overflow degrade (a delivery at or past [floor + capacity] moves the floor
+   to [ts + 1 - capacity], forcing everything below it delivered).  Window 64
+   gives capacity 256, above the 62 timestamps tracked inline, so deliveries
+   drawn up to 300 past the floor cover the inline mask, the spill to the
+   ring, and the overflow. *)
+let prop_watermarks_model =
+  let window = 64 in
+  let capacity = 4 * window in
+  QCheck.Test.make ~name:"watermarks match the floor-and-set model (inline, spill, overflow)"
+    ~count:300
+    QCheck.(list_of_size Gen.(1 -- 80) (pair (int_bound 2) (int_bound 300)))
+    (fun ops ->
+      let w = Core.Watermarks.create ~window in
+      let floors = Array.make 3 0 and above = Array.make 3 [] in
+      let rec advance c =
+        if List.mem floors.(c) above.(c) then begin
+          above.(c) <- List.filter (( <> ) floors.(c)) above.(c);
+          floors.(c) <- floors.(c) + 1;
+          advance c
+        end
+      in
+      let note c ts =
+        if ts >= floors.(c) then begin
+          if ts >= floors.(c) + capacity then begin
+            floors.(c) <- ts + 1 - capacity;
+            above.(c) <- List.filter (fun x -> x >= floors.(c)) above.(c)
+          end;
+          above.(c) <- ts :: above.(c);
+          advance c
+        end
+      in
+      List.for_all
+        (fun (client, offset) ->
+          (* Offsets start a little below the floor, so stale deliveries
+             occur too. *)
+          let ts = max 0 (floors.(client) + offset - 8) in
+          Core.Watermarks.note_delivered w { Proto.Request.client; ts };
+          note client ts;
+          List.for_all
+            (fun c ->
+              Core.Watermarks.floor w c = floors.(c)
+              && List.for_all
+                   (fun ts ->
+                     let id = { Proto.Request.client = c; ts } in
+                     Core.Watermarks.delivered w id = (ts < floors.(c) || List.mem ts above.(c))
+                     && Core.Watermarks.valid w id = (ts >= floors.(c) && ts < floors.(c) + window))
+                   (List.init (capacity + 80) (fun i -> max 0 (floors.(c) - 40) + i)))
+            [ 0; 1; 2 ])
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Config *)
 
@@ -693,6 +759,7 @@ let () =
           qc prop_watermarks_permutation;
           qc prop_watermarks_overflow_no_duplicate;
           qc prop_watermarks_overflow_no_false_positive;
+          qc prop_watermarks_model;
         ] );
       ( "config",
         [

@@ -327,6 +327,34 @@ let test_out_of_window_rejected () =
   Sim.Engine.run ~until:(Sim.Time_ns.sec 30) c.engine;
   check_int "watermark-violating request not delivered" 0 (List.length (deliveries_at c 0))
 
+(* A node holds a request once however often its client retransmits it,
+   and the retransmission keeps the arrival order of the first copy: the
+   node re-offers it under the arrival seq its request index recorded. *)
+let test_retransmission_held_once () =
+  let config = Core.Config.pbft_default ~n:4 in
+  let num_buckets = Core.Config.num_buckets config in
+  let req ts = Proto.Request.make ~client:900 ~ts ~submitted_at:Sim.Time_ns.zero () in
+  let first = req 0 in
+  let bucket ts = Proto.Request.bucket_of_id ~num_buckets (req ts).Proto.Request.id in
+  let rec same_bucket ts = if bucket ts = bucket 0 then req ts else same_bucket (ts + 1) in
+  let second = same_bucket 1 in
+  let c = build config in
+  submit_all c first;
+  submit_all c second;
+  submit_all c first;
+  Array.iter
+    (fun node ->
+      check_int "held once" 2 (Core.Node.pending_requests node);
+      check_int "queued once" 2 (Core.Node.bucket_queue_added node))
+    c.nodes;
+  Array.iter Core.Node.start c.nodes;
+  Sim.Engine.run ~until:(Sim.Time_ns.sec 30) c.engine;
+  Alcotest.(check (list int))
+    "delivered once each, in arrival order" [ 0; second.Proto.Request.id.ts ]
+    (List.map
+       (fun (d : Core.Log.delivery) -> d.request.Proto.Request.id.ts)
+       (deliveries_at c 0))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -358,5 +386,7 @@ let () =
         [
           Alcotest.test_case "invalid signature rejected" `Quick test_invalid_signature_rejected;
           Alcotest.test_case "out-of-window rejected" `Quick test_out_of_window_rejected;
+          Alcotest.test_case "retransmission held once, keeps arrival order" `Quick
+            test_retransmission_held_once;
         ] );
     ]

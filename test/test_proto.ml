@@ -119,6 +119,83 @@ let prop_int_tbl_model =
           = List.filter_map (fun (k', v) -> if k' = k then Some v else None) model)
         model)
 
+(* The same layout in the flat table: linear probing at up to half load
+   must keep every key within a short scan of its home slot. *)
+let test_flat_tbl_probe_bound () =
+  let tbl = Sim.Flat_tbl.create ~fields:1 in
+  for client = 100_000 to 102_047 do
+    for ts = 0 to 15 do
+      ignore (Sim.Flat_tbl.add tbl (Proto.Request.id_key { Proto.Request.client; ts }))
+    done
+  done;
+  check_int "entries" 32_768 (Sim.Flat_tbl.length tbl);
+  let longest = Sim.Flat_tbl.max_probe tbl in
+  if longest > 12 then Alcotest.failf "longest probe sequence %d (want <= 12)" longest
+
+type flat_op = Set of int * int | Del of int | Clear
+
+(* Flat_tbl against an association-list model.  Half the keys hash to the
+   last two slots of the 8-slot starting table, so clusters wrap around the
+   array end and deletions inside them exercise the backward shift. *)
+let prop_flat_tbl_model =
+  let keys = Array.init 40 (fun i -> i - 8) in
+  let wrapping = List.filter (fun k -> Sim.Int_tbl.hash k land 7 >= 6) (List.init 200 Fun.id) in
+  let key =
+    QCheck.Gen.(oneof [ oneofa keys; oneofl wrapping ])
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun k v -> Set (k, v)) key small_nat);
+          (4, map (fun k -> Del k) key);
+          (1, return Clear);
+        ])
+  in
+  QCheck.Test.make ~name:"Flat_tbl agrees with an assoc-list model" ~count:500
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 120) op))
+    (fun ops ->
+      let tbl = Sim.Flat_tbl.create ~fields:2 in
+      let check m =
+        if Sim.Flat_tbl.length tbl <> List.length m then
+          QCheck.Test.fail_reportf "length %d, model %d" (Sim.Flat_tbl.length tbl)
+            (List.length m);
+        List.iter
+          (fun k ->
+            let slot = Sim.Flat_tbl.find tbl k in
+            match List.assoc_opt k m with
+            | None -> if slot >= 0 then QCheck.Test.fail_reportf "removed key %d found" k
+            | Some v ->
+                if slot < 0 then QCheck.Test.fail_reportf "key %d lost" k;
+                if Sim.Flat_tbl.get tbl slot 0 <> v || Sim.Flat_tbl.get tbl slot 1 <> -v then
+                  QCheck.Test.fail_reportf "key %d: wrong fields" k)
+          (Array.to_list keys @ wrapping)
+      in
+      ignore
+        (List.fold_left
+           (fun m op ->
+             let m =
+               match op with
+               | Set (k, v) ->
+                   let fresh = not (List.mem_assoc k m) in
+                   let slot = Sim.Flat_tbl.add tbl k in
+                   if fresh && (Sim.Flat_tbl.get tbl slot 0, Sim.Flat_tbl.get tbl slot 1) <> (0, 0)
+                   then QCheck.Test.fail_reportf "new key %d: fields not zero" k;
+                   Sim.Flat_tbl.set tbl slot 0 v;
+                   Sim.Flat_tbl.set tbl slot 1 (-v);
+                   (k, v) :: List.remove_assoc k m
+               | Del k ->
+                   Sim.Flat_tbl.remove tbl k;
+                   List.remove_assoc k m
+               | Clear ->
+                   Sim.Flat_tbl.clear tbl;
+                   []
+             in
+             check m;
+             m)
+           [] ops);
+      true)
+
 let test_request_wire_size () =
   let r = req ~client:1 ~ts:1 in
   (* 500 payload + 16 id + 64 signature. *)
@@ -226,6 +303,8 @@ let () =
           Alcotest.test_case "id_key injective" `Quick test_request_id_key_injective;
           Alcotest.test_case "Int_tbl spreads id keys" `Quick test_int_tbl_spreads_id_keys;
           QCheck_alcotest.to_alcotest prop_int_tbl_model;
+          Alcotest.test_case "Flat_tbl probe bound on id keys" `Quick test_flat_tbl_probe_bound;
+          QCheck_alcotest.to_alcotest prop_flat_tbl_model;
           Alcotest.test_case "wire sizes" `Quick test_request_wire_size;
         ] );
       ( "batches",
