@@ -1,13 +1,13 @@
 (** Conformance harness (DESIGN.md §9).
 
     Runs a fuzzed {!Scenario} against all three ISS instantiations
-    (ISS-PBFT, ISS-HotStuff, ISS-Raft), feeding every submission and
-    per-node delivery to the differential {!Checker}, with the cluster's
-    online invariant checker enabled as a second, independent net.
+    (ISS-PBFT, ISS-HotStuff, ISS-Raft) under the cluster's invariant
+    checker ({!Runner.Cluster.enable_invariants}), which sees every
+    submission, per-node delivery, shed and give-up.
 
     Each (scenario, protocol) pair runs twice — fully instrumented
     (lifecycle tracer + metric registry, whose accounting is cross-checked
-    against the conformance checker) and bare — and the two behaviour
+    against the checker) and bare — and the two behaviour
     fingerprints must be identical: this asserts both determinism (no
     insertion-order-dependent tie-breaks) and that observability
     instrumentation never perturbs a run. *)
@@ -24,7 +24,7 @@ val pp_failure : Format.formatter -> failure -> unit
 val protocols : Core.Config.protocol list
 (** The three ISS instantiations every scenario is checked against. *)
 
-type run_result = { fingerprint : string; stats : Checker.stats }
+type run_result = { fingerprint : string; stats : Runner.Checker.stats }
 
 val run_protocol :
   ?instrumented:bool -> Scenario.t -> Core.Config.protocol -> (run_result, string) result

@@ -47,9 +47,6 @@ val has_byzantine : t -> bool
 (** The schedule contains at least one active-malice spec — the harness
     skips Raft (crash-fault-tolerant only) for such scenarios. *)
 
-val byzantine_nodes : t -> int list
-(** Sorted, deduplicated attacker ids (see {!Runner.Faults.byzantine_nodes}). *)
-
 val to_json : t -> Obs.Jsonx.t
 val of_json : Obs.Jsonx.t -> (t, string) result
 val to_string : t -> string

@@ -1,16 +1,20 @@
-(** Differential conformance checker (DESIGN.md §9).
+(** The invariant checker (DESIGN.md §9): the one implementation of the
+    properties ISS guarantees.
 
-    Replays the raw observer streams of one run — every workload submission
-    and every per-node batch delivery — against the reference model of an
-    idealized atomic broadcast, independently of {!Runner.Cluster}'s online
-    invariant checker (the two implementations cross-validate each other).
+    Checks the raw streams of one run — every workload submission, every
+    per-node batch delivery, every flow-control shed and give-up — against
+    the reference model of an idealized atomic broadcast.
+    {!Cluster.enable_invariants} feeds one from the cluster's hooks; a
+    standalone checker can be fed from the cluster's observers.
 
     Checked properties: cross-node agreement and per-node total order,
-    no fabrication, exactly-once (per node and globally), Eq. (2) request
-    numbering chaining across observed log positions (⊥ and empty
-    keep-alive batches deliver nothing and are transparent to the chain),
-    liveness against the reply quorum, per-client delivered-range
-    completeness, and client watermark window closure (§3.7). *)
+    no fabrication, exactly-once (no request at two log positions or twice
+    in one batch, which with agreement and total order gives exactly-once
+    per node), no delivered-then-shed, Eq. (2) request numbering chaining
+    across observed log positions (⊥ and empty keep-alive batches deliver
+    nothing and are transparent to the chain), liveness against the reply
+    quorum, per-client delivered-range completeness, and client watermark
+    window closure (§3.7). *)
 
 type t
 
@@ -31,26 +35,28 @@ val set_byzantine : t -> int -> unit
     fabrication and Eq. (2) quantify over {e correct} nodes only, and a
     Byzantine node's deliveries never seed the first-observed baseline for
     a log position.  Its progress counters still feed {!fingerprint}.  Call
-    before the run for every node the fault schedule attacks
-    ({!Scenario.byzantine_nodes}). *)
+    before the node's first delivery; {!Cluster} forwards every node its
+    fault schedule marks. *)
+
+(** Every feed below records a violation (the first one wins) and never
+    raises; {!violation} reports it.  {!Cluster} checks after each feed and
+    aborts the run at the first one. *)
 
 val note_submitted : t -> Proto.Request.t -> unit
-(** Feed from {!Runner.Cluster.set_submission_observer}. *)
+(** A workload-submitted request. *)
 
 val note_delivery : t -> node:int -> sn:int -> first_request_sn:int -> Proto.Batch.t -> unit
-(** Feed from {!Runner.Cluster.set_delivery_observer}.  Violations are
-    recorded (first one wins), never raised — a failing run completes and is
-    then shrunk. *)
+(** One node's delivery of the batch at log position [sn]. *)
 
 val note_shed : t -> node:int -> Proto.Request.t -> unit
-(** Feed from {!Runner.Cluster.set_shed_observer} (shed events only, not
-    advisory pushback).  Records the shed and checks the no
-    delivered-then-shed invariant: a correct node never sheds a request it
-    has already delivered (its dedup state must absorb the duplicate
-    before admission counts it against the bucket). *)
+(** A flow-control shed (not advisory pushback).  Records the shed and
+    checks the no delivered-then-shed invariant: a correct node never
+    sheds a request it has already delivered, i.e. whose ordering position
+    it delivered (its dedup state must absorb the duplicate before
+    admission counts it against the bucket). *)
 
 val note_gave_up : t -> Proto.Request.t -> unit
-(** Feed from {!Runner.Cluster.set_give_up_observer}.  Given-up requests
+(** A request whose client exhausted its retry budget.  Given-up requests
     become legal terminal states for the liveness and per-client
     completeness checks; the per-client watermark-window check treats the
     hole as transparent. *)

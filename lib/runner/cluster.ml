@@ -15,18 +15,6 @@ type quorum_state = { mutable count : int; mutable reached : bool }
 
 exception Invariant_violation of string
 
-(* Cross-node invariant checking state (chaos harness).  [inv_batches]
-   records the first (digest, first_request_sn, node) delivered at each
-   sequence number; every later delivery at that position must match.
-   [inv_per_node] records every request id a node has delivered, to catch
-   double delivery.  [inv_submitted] holds every workload-submitted request
-   for the end-of-run liveness check. *)
-type invariant_state = {
-  inv_batches : (int, Iss_crypto.Hash.t * int * int) Hashtbl.t;
-  inv_per_node : unit Sim.Int_tbl.t array;
-  inv_submitted : Proto.Request.t Sim.Int_tbl.t;
-}
-
 type t = {
   engine : Engine.t;
   net : Proto.Message.t Sim.Network.t;
@@ -43,15 +31,15 @@ type t = {
   reply_quorum : int;
   mutable track_delivered_ids : bool;
   delivered_ids : unit Sim.Int_tbl.t;  (* request id keys, when tracked *)
-  mutable invariants : invariant_state option;
+  mutable checker : Checker.t option;  (* None until enable_invariants *)
   mutable adversary : Adversary.t option;
       (* None unless a Byzantine fault schedule configured one: the honest
          send path must stay byte-identical to a build without the adversary
          layer (fingerprint-checked by the conformance harness). *)
   byzantine : bool array;
-      (* nodes marked Byzantine by a schedule: excluded from cross-node
-         safety/exactly-once accounting and from reply-quorum counting (the
-         checked invariants quantify over correct nodes only) *)
+      (* nodes marked Byzantine by a schedule: excluded from the checked
+         invariants and from reply-quorum counting (the invariants quantify
+         over correct nodes only) *)
   tracer : Obs.Tracer.t option;
   mutable delivery_observer :
     (node:int -> sn:int -> first_request_sn:int -> Proto.Batch.t -> unit) option;
@@ -59,10 +47,8 @@ type t = {
   mutable gave_up : int;
       (* requests whose client (modeled or real) exhausted its retry budget *)
   gave_up_ids : unit Sim.Int_tbl.t;
-      (* id keys of given-up requests: the liveness check treats "explicitly
-         gave up" as a legal terminal state alongside "delivered" *)
-  mutable shed_observer : (node:int -> shed:bool -> Proto.Request.t -> unit) option;
-  mutable give_up_observer : (Proto.Request.t -> unit) option;
+      (* id keys of given-up requests: the workload's watermark gate treats
+         "explicitly gave up" as terminal alongside "delivered" *)
 }
 
 let engine t = t.engine
@@ -85,14 +71,12 @@ let ensure_adversary t =
       t.adversary <- Some adv;
       adv
 
-let mark_byzantine t node = t.byzantine.(node) <- true
-let is_byzantine t node = t.byzantine.(node)
-let byzantine_count t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.byzantine
+let mark_byzantine t node =
+  t.byzantine.(node) <- true;
+  Option.iter (fun ck -> Checker.set_byzantine ck node) t.checker
 
 let set_delivery_observer t f = t.delivery_observer <- Some f
 let set_submission_observer t f = t.submission_observer <- Some f
-let set_shed_observer t f = t.shed_observer <- Some f
-let set_give_up_observer t f = t.give_up_observer <- Some f
 
 let gave_up_count t = t.gave_up
 
@@ -102,21 +86,27 @@ let shed_total t =
 let pushback_total t =
   Array.fold_left (fun acc node -> acc + Core.Node.pushback_count node) 0 t.nodes
 
+(* The checker records violations; the cluster aborts the run at the first
+   one, stamped with the simulated time. *)
+let raise_violation t msg =
+  raise
+    (Invariant_violation
+       (Printf.sprintf "at t=%.3fs: %s" (Time_ns.to_sec_f (Engine.now t.engine)) msg))
+
+let check_now t ck = Option.iter (raise_violation t) (Checker.violation ck)
+
 let note_gave_up t (r : Proto.Request.t) =
   let key = Proto.Request.id_key r.Proto.Request.id in
   if not (Sim.Int_tbl.mem t.gave_up_ids key) then begin
     t.gave_up <- t.gave_up + 1;
     Sim.Int_tbl.replace t.gave_up_ids key ();
-    match t.give_up_observer with Some f -> f r | None -> ()
+    Option.iter (fun ck -> Checker.note_gave_up ck r) t.checker
   end
 
 let note_submitted t (req : Proto.Request.t) =
   t.submitted <- t.submitted + 1;
   (match t.submission_observer with Some f -> f req | None -> ());
-  match t.invariants with
-  | Some inv ->
-      Sim.Int_tbl.replace inv.inv_submitted (Proto.Request.id_key req.Proto.Request.id) req
-  | None -> ()
+  Option.iter (fun ck -> Checker.note_submitted ck req) t.checker
 
 let throughput_series t ~until = Sim.Metrics.Series.rate_per_sec t.throughput ~until
 
@@ -222,7 +212,7 @@ let create ?engine ?policy ?(tweak = fun c -> c) ?tracer ?registry ~system ~n ~s
       reply_quorum;
       track_delivered_ids = false;
       delivered_ids = Sim.Int_tbl.create 4096;
-      invariants = None;
+      checker = None;
       adversary = None;
       byzantine = Array.make n false;
       tracer;
@@ -230,8 +220,6 @@ let create ?engine ?policy ?(tweak = fun c -> c) ?tracer ?registry ~system ~n ~s
       submission_observer = None;
       gave_up = 0;
       gave_up_ids = Sim.Int_tbl.create 256;
-      shed_observer = None;
-      give_up_observer = None;
     }
   in
   (* Measurement hook: when the [reply_quorum]-th node's delivery frontier
@@ -243,50 +231,11 @@ let create ?engine ?policy ?(tweak = fun c -> c) ?tracer ?registry ~system ~n ~s
     (match t.delivery_observer with
     | Some f -> f ~node:node_id ~sn ~first_request_sn batch
     | None -> ());
-    (* Invariant checking (chaos harness; off unless enabled).  Violations
-       raise immediately, aborting the simulation with a readable report.
-       Nodes marked Byzantine by the schedule are exempt: the checked
-       invariants (safety, exactly-once, reply quorums) are theorems about
-       correct nodes only. *)
-    (match t.invariants with
-    | None -> ()
-    | Some _ when t.byzantine.(node_id) -> ()
-    | Some inv ->
-        let digest = Proto.Proposal.digest (Proto.Proposal.Batch batch) in
-        let now_s = Time_ns.to_sec_f (Engine.now t.engine) in
-        (match Hashtbl.find_opt inv.inv_batches sn with
-        | None -> Hashtbl.replace inv.inv_batches sn (digest, first_request_sn, node_id)
-        | Some (d0, frs0, node0) ->
-            if not (Iss_crypto.Hash.equal d0 digest) then
-              raise
-                (Invariant_violation
-                   (Printf.sprintf
-                      "SAFETY violation at t=%.3fs: node %d delivered batch %s at sn %d, but \
-                       node %d had delivered batch %s there — two non-halted nodes disagree \
-                       on the same log position"
-                      now_s node_id (Iss_crypto.Hash.short digest) sn node0
-                      (Iss_crypto.Hash.short d0)));
-            if frs0 <> first_request_sn then
-              raise
-                (Invariant_violation
-                   (Printf.sprintf
-                      "SAFETY violation at t=%.3fs: node %d delivered sn %d with first request \
-                       sequence number %d, but node %d used %d — the delivered prefixes \
-                       diverge earlier in the log"
-                      now_s node_id sn first_request_sn node0 frs0)));
-        let seen = inv.inv_per_node.(node_id) in
-        Proto.Batch.iter
-          (fun (r : Proto.Request.t) ->
-            let key = Proto.Request.id_key r.id in
-            if Sim.Int_tbl.mem seen key then
-              raise
-                (Invariant_violation
-                   (Printf.sprintf
-                      "EXACTLY-ONCE violation at t=%.3fs: node %d delivered request \
-                       (client %d, ts %d) a second time at batch sn %d"
-                      now_s node_id r.id.Proto.Request.client r.id.Proto.Request.ts sn));
-            Sim.Int_tbl.replace seen key ())
-          batch);
+    (match t.checker with
+    | Some ck ->
+        Checker.note_delivery ck ~node:node_id ~sn ~first_request_sn batch;
+        check_now t ck
+    | None -> ());
     (* Each delivering node sends one reply per request on its public NIC;
        charge that bandwidth in one aggregate operation. *)
     ignore
@@ -345,29 +294,16 @@ let create ?engine ?policy ?(tweak = fun c -> c) ?tracer ?registry ~system ~n ~s
                  ~timeout:config.Core.Config.epoch_change_timeout))
     | Iss _ | Single _ -> None
   in
-  (* Flow-control pushback routing.  Modeled clients have no network
-     endpoint, so the node-side hook stands in for the wire-level [Busy]
-     reply: it feeds the overload counters, the online delivered-then-shed
-     invariant, and whatever observer the conformance harness installs.
-     When flow control is off the node never fires it, keeping the honest
-     path untouched. *)
+  (* Flow-control pushback.  Modeled clients have no network endpoint, so
+     the node-side hook stands in for the wire-level [Busy] reply; a shed
+     feeds the invariant checker.  When flow control is off the node never
+     fires it, keeping the honest path untouched. *)
   let on_pushback node (r : Proto.Request.t) ~retry_after:_ ~shed =
-    let node_id = Core.Node.id node in
-    (if shed then
-       match t.invariants with
-       | Some inv when not t.byzantine.(node_id) ->
-           if Sim.Int_tbl.mem inv.inv_per_node.(node_id) (Proto.Request.id_key r.Proto.Request.id)
-           then
-             raise
-               (Invariant_violation
-                  (Printf.sprintf
-                     "DELIVERED-THEN-SHED contradiction at t=%.3fs: node %d shed request \
-                      (client %d, ts %d) it had already delivered"
-                     (Time_ns.to_sec_f (Engine.now t.engine))
-                     node_id r.Proto.Request.id.Proto.Request.client
-                     r.Proto.Request.id.Proto.Request.ts))
-       | Some _ | None -> ());
-    match t.shed_observer with Some f -> f ~node:node_id ~shed r | None -> ()
+    match t.checker with
+    | Some ck when shed ->
+        Checker.note_shed ck ~node:(Core.Node.id node) r;
+        check_now t ck
+    | Some _ | None -> ()
   in
   let hooks =
     {
@@ -488,61 +424,19 @@ let request_terminal t ~client ~ts =
 (* Invariant checking *)
 
 let enable_invariants t =
-  enable_delivery_tracking t;
-  if t.invariants = None then
-    t.invariants <-
-      Some
-        {
-          inv_batches = Hashtbl.create 4096;
-          inv_per_node = Array.init t.n (fun _ -> Sim.Int_tbl.create 4096);
-          inv_submitted = Sim.Int_tbl.create 4096;
-        }
+  if t.checker = None then begin
+    let ck =
+      Checker.create ~n:t.n ~reply_quorum:t.reply_quorum
+        ~window:t.config.Core.Config.client_watermark_window
+    in
+    Array.iteri (fun node byz -> if byz then Checker.set_byzantine ck node) t.byzantine;
+    t.checker <- Some ck
+  end
 
-let invariants_enabled t = t.invariants <> None
+let checker t = t.checker
 
 let check_liveness t =
-  match t.invariants with
+  match t.checker with
   | None -> invalid_arg "Cluster.check_liveness: call enable_invariants first"
-  | Some inv ->
-      let missing =
-        Sim.Int_tbl.fold
-          (fun key r acc ->
-            (* "Explicitly gave up" is a legal terminal state under overload:
-               the client spent its retry budget and reported the request
-               abandoned.  Anything else undelivered is a violation. *)
-            if
-              (not (Sim.Int_tbl.mem t.delivered_ids key))
-              && not (Sim.Int_tbl.mem t.gave_up_ids key)
-            then r :: acc
-            else acc)
-          inv.inv_submitted []
-      in
-      let n_missing = List.length missing in
-      if n_missing > 0 then begin
-        (* Report in (client, ts) order, not the table's hash order. *)
-        let missing =
-          List.sort
-            (fun (a : Proto.Request.t) (b : Proto.Request.t) -> Proto.Request.compare_id a.id b.id)
-            missing
-        in
-        let b = Buffer.create 256 in
-        Buffer.add_string b
-          (Printf.sprintf
-             "LIVENESS violation at t=%.3fs: %d of %d submitted requests never reached their \
-              reply quorum of %d nodes after all faults healed (%d explicitly gave up).  \
-              First missing requests:"
-             (Time_ns.to_sec_f (Engine.now t.engine))
-             n_missing
-             (Sim.Int_tbl.length inv.inv_submitted)
-             t.reply_quorum t.gave_up);
-        List.iteri
-          (fun i (r : Proto.Request.t) ->
-            if i < 10 then
-              Buffer.add_string b
-                (Printf.sprintf "\n  client %d ts %d (submitted at t=%.3fs)"
-                   r.id.Proto.Request.client r.id.Proto.Request.ts
-                   (Time_ns.to_sec_f r.Proto.Request.submitted_at)))
-          missing;
-        if n_missing > 10 then Buffer.add_string b "\n  ...";
-        raise (Invariant_violation (Buffer.contents b))
-      end
+  | Some ck -> (
+      match Checker.finalize ck with Ok _ -> () | Error msg -> raise_violation t msg)

@@ -72,47 +72,57 @@ val ensure_adversary : t -> Adversary.t
 val adversary : t -> Adversary.t option
 
 val mark_byzantine : t -> int -> unit
-(** Exempt a node from the cross-node safety / exactly-once invariants and
-    from reply-quorum counting: the checked invariants quantify over correct
-    nodes only.  {!Faults.apply} marks every node its schedule attacks. *)
+(** Exempt a node from the checked invariants and from reply-quorum
+    counting: the invariants quantify over correct nodes only.
+    {!Faults.apply} marks every node its schedule attacks. *)
 
-val is_byzantine : t -> int -> bool
-val byzantine_count : t -> int
 
-(** {2 Invariant checking (chaos harness)} *)
+(** {2 Invariant checking} *)
 
 exception Invariant_violation of string
-(** Raised — aborting the simulation — with a readable report when a checked
-    invariant breaks. *)
+(** Raised — aborting the simulation — with a readable report, stamped with
+    the simulated time, when a checked invariant breaks. *)
 
 val enable_invariants : t -> unit
-(** Turn on cross-node invariant checking (implies delivery tracking):
+(** Turn on invariant checking: the cluster creates one {!Checker} with
+    its size, reply quorum and client watermark window, exempts the nodes
+    already marked Byzantine (and later ones, as {!mark_byzantine} marks
+    them), and feeds it every {!note_submitted}, {!note_gave_up}, per-node
+    batch delivery and flow-control shed.  The first violation a feed
+    records raises {!Invariant_violation}:
     {ul
-    {- {b safety}: no two non-halted nodes deliver different batches (or the
-       same batch with different request sequence numbers) at the same log
-       position — checked on every delivery;}
-    {- {b exactly-once}: no node delivers the same request twice — checked on
-       every delivery;}
-    {- {b liveness}: every workload-submitted request reaches its reply
-       quorum — checked by {!check_liveness} once the run (faults plus a
-       grace period) has completed.}}
-    Off by default: the bookkeeping holds every submitted request id, which
-    huge fault-free benchmark runs cannot afford. *)
+    {- {b safety}: every correct node delivers the same batch, numbered
+       from the same Eq. (2) request sequence number, at each log position,
+       at strictly increasing positions;}
+    {- {b exactly-once}: no request is ordered at two positions or twice in
+       one batch;}
+    {- {b no fabrication}: every delivered request was submitted;}
+    {- {b no delivered-then-shed}: no correct node sheds a request it has
+       delivered.}}
+    {!check_liveness} adds the end-of-run checks.  Off by default: the
+    checker holds every submitted request, which huge fault-free benchmark
+    runs cannot afford. *)
 
-val invariants_enabled : t -> bool
+val checker : t -> Checker.t option
+(** The checker {!enable_invariants} created, if any: its
+    {!Checker.finalize} statistics and {!Checker.fingerprint} describe the
+    run. *)
 
 val check_liveness : t -> unit
-(** Raises {!Invariant_violation} listing the first missing requests if any
-    submitted request has neither reached its reply quorum nor explicitly
-    given up its retry budget ({!note_gave_up}).  Call after the engine has
-    run past all faults plus a recovery bound. *)
+(** Runs {!Checker.finalize} and raises {!Invariant_violation} on its first
+    violation: Eq. (2) numbering chained across the whole observed log;
+    {b liveness}, every submitted request ordered at a position that reached
+    the reply quorum unless it explicitly gave up its retry budget
+    ({!note_gave_up}); per-client completeness of the delivered timestamps;
+    and watermark-window closure (§3.7).  Call after the engine has run
+    past all faults plus a recovery bound. *)
 
 (** {2 Overload accounting (flow control)} *)
 
 val note_gave_up : t -> Proto.Request.t -> unit
 (** Record that a client exhausted its retry budget for this request and
     abandoned it.  Idempotent per request.  The liveness check accepts
-    given-up requests as terminal; the give-up observer fires once. *)
+    given-up requests as terminal. *)
 
 val gave_up_count : t -> int
 (** Requests explicitly abandoned via {!note_gave_up}. *)
@@ -123,17 +133,6 @@ val shed_total : t -> int
 val pushback_total : t -> int
 (** Pushback notifications issued (advisory and shedding), summed over all
     nodes. *)
-
-val set_shed_observer : t -> (node:int -> shed:bool -> Proto.Request.t -> unit) -> unit
-(** Install a hook fired on every node-side pushback event: [shed = true]
-    for an actual drop (admission refusal or drop-oldest eviction),
-    [shed = false] for the advisory watermark warning.  The conformance
-    harness records shed events through this; at most one observer.  Fires
-    only when [flow_control] is enabled. *)
-
-val set_give_up_observer : t -> (Proto.Request.t -> unit) -> unit
-(** Install a hook fired once per request abandoned via {!note_gave_up};
-    at most one observer. *)
 
 (** {2 Measurement} *)
 
@@ -165,13 +164,12 @@ val client_datacenter : t -> client:int -> int
 val set_delivery_observer :
   t -> (node:int -> sn:int -> first_request_sn:int -> Proto.Batch.t -> unit) -> unit
 (** Install a hook called on {e every} per-node batch delivery (before the
-    quorum accounting).  The conformance harness records the complete
-    per-node delivered sequences through this; at most one observer. *)
+    quorum accounting), e.g. to feed a standalone {!Checker}; at most one
+    observer. *)
 
 val set_submission_observer : t -> (Proto.Request.t -> unit) -> unit
 (** Install a hook called for every workload-submitted request (from
-    {!note_submitted}).  The conformance harness builds its reference
-    workload set through this; at most one observer. *)
+    {!note_submitted}); at most one observer. *)
 
 val enable_delivery_tracking : t -> unit
 (** Track per-request delivery (needed by the workload's resubmission

@@ -187,10 +187,10 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
       ignore
         (Engine.schedule engine ~delay:(prop + queue) (fun () ->
              (* Re-check on arrival: a resubmitted request may have been
-                delivered while this copy was in flight.  In relaxed mode
-                the node skips its own duplicate filtering, so this check
-                is what keeps resubmission from re-ordering delivered
-                requests. *)
+                delivered while this copy was in flight.  A node drops
+                copies of requests it has delivered itself, but a lagging
+                node that has not yet delivered the original would queue
+                the copy and could propose it a second time. *)
              if not (resubmit && Cluster.request_delivered cluster r) then
                Core.Node.submit nodes.(dst) r))
     end

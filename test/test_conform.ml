@@ -8,7 +8,7 @@
    tier-1 exercises the same path as [iss_sim conform]. *)
 
 module Scenario = Conform.Scenario
-module Checker = Conform.Checker
+module Checker = Runner.Checker
 module Harness = Conform.Harness
 module Shrink = Conform.Shrink
 
@@ -155,6 +155,54 @@ let test_checker_rejects_window_violation () =
       Checker.note_delivery ck ~node:0 ~sn ~first_request_sn:sn (batch [ List.nth r ts ]))
     order;
   expect_violation "window violation" "watermark window" ck
+
+let test_checker_rejects_duplicate_in_batch () =
+  let ck = new_checker ~reply_quorum:1 () in
+  let a = req ~client:7 ~ts:0 in
+  submit ck [ a ];
+  Checker.note_delivery ck ~node:0 ~sn:0 ~first_request_sn:0 (batch [ a; a ]);
+  expect_violation "duplicate in one batch" "twice in the batch" ck
+
+let test_checker_rejects_delivered_then_shed () =
+  let ck = new_checker () in
+  let a = req ~client:7 ~ts:0 in
+  submit ck [ a ];
+  Checker.note_delivery ck ~node:0 ~sn:0 ~first_request_sn:0 (batch [ a ]);
+  Checker.note_shed ck ~node:0 a;
+  expect_violation "delivered then shed" "already delivered" ck
+
+let test_checker_accepts_shed_not_delivered () =
+  (* Node 1 sheds [a] before delivering it (only node 0 has delivered it
+     so far), and later sheds [b], whose position it skipped through a
+     checkpoint jump from sn 0 to sn 2: neither is a contradiction. *)
+  let ck = new_checker ~reply_quorum:1 () in
+  let a = req ~client:7 ~ts:0 and b = req ~client:7 ~ts:1 and c = req ~client:7 ~ts:2 in
+  submit ck [ a; b; c ];
+  Checker.note_delivery ck ~node:0 ~sn:0 ~first_request_sn:0 (batch [ a ]);
+  Checker.note_shed ck ~node:1 a;
+  Checker.note_delivery ck ~node:1 ~sn:0 ~first_request_sn:0 (batch [ a ]);
+  Checker.note_delivery ck ~node:0 ~sn:1 ~first_request_sn:1 (batch [ b ]);
+  Checker.note_delivery ck ~node:0 ~sn:2 ~first_request_sn:2 (batch [ c ]);
+  Checker.note_delivery ck ~node:1 ~sn:2 ~first_request_sn:2 (batch [ c ]);
+  Checker.note_shed ck ~node:1 b;
+  let stats = expect_ok "shed not delivered" ck in
+  check_int "sheds counted" 2 stats.Checker.shed
+
+let test_checker_exempts_byzantine () =
+  (* Node 2 is Byzantine: its disagreeing batch at sn 0 (and its shed of a
+     request it delivered) is outside the specification. *)
+  let ck = new_checker ~n:3 () in
+  Checker.set_byzantine ck 2;
+  let a = req ~client:7 ~ts:0 and b = req ~client:8 ~ts:0 in
+  submit ck [ a; b ];
+  Checker.note_delivery ck ~node:2 ~sn:0 ~first_request_sn:0 (batch [ b; a ]);
+  for node = 0 to 1 do
+    Checker.note_delivery ck ~node ~sn:0 ~first_request_sn:0 (batch [ a; b ])
+  done;
+  Checker.note_shed ck ~node:2 a;
+  let stats = expect_ok "byzantine exempt" ck in
+  check_int "quorate requests" 2 stats.Checker.quorum_requests;
+  check_int "byzantine shed not counted" 0 stats.Checker.shed
 
 (* ------------------------------------------------------------------ *)
 (* Shrinker *)
@@ -307,6 +355,13 @@ let () =
           Alcotest.test_case "Eq. 2 break" `Quick test_checker_rejects_eq2_break;
           Alcotest.test_case "lost request" `Quick test_checker_rejects_lost_request;
           Alcotest.test_case "window violation" `Quick test_checker_rejects_window_violation;
+          Alcotest.test_case "duplicate in one batch" `Quick
+            test_checker_rejects_duplicate_in_batch;
+          Alcotest.test_case "delivered then shed" `Quick
+            test_checker_rejects_delivered_then_shed;
+          Alcotest.test_case "shed of an undelivered position is legal" `Quick
+            test_checker_accepts_shed_not_delivered;
+          Alcotest.test_case "byzantine node exempt" `Quick test_checker_exempts_byzantine;
         ] );
       ( "shrink",
         [

@@ -1,10 +1,11 @@
 (* The chaos harness: fault-schedule DSL, crash-recovery, partition healing,
    client retransmission over a lossy network, and schedule determinism.
 
-   Every scenario run enables the cross-node invariant checker (safety +
-   exactly-once on every delivery) and ends with the liveness check (every
-   submitted request reached its reply quorum), so a regression in view
-   change, state transfer, block sync or log repair fails loudly here.
+   Every scenario run enables the cluster's invariant checker (safety,
+   exactly-once and no fabrication on every delivery) and ends with the
+   liveness check (every submitted request reached its reply quorum), so a
+   regression in view change, state transfer, block sync or log repair
+   fails loudly here.
 
    Runs use a shortened configuration (small epochs, tight timeouts) so the
    post-heal grace period fits in a test budget; the full-size randomized
@@ -325,6 +326,32 @@ let test_lossy_retransmission () =
   check_bool "the lossy window forced retransmissions" true (retx > 0)
 
 (* ------------------------------------------------------------------ *)
+(* The cluster's invariant checker catches fabrication online *)
+
+let contains ~needle haystack =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
+let test_unsubmitted_request_flagged () =
+  (* A request handed straight to every node, bypassing the workload's
+     [Cluster.note_submitted], is one the checker never saw submitted: its
+     first delivery must abort the run as a fabrication. *)
+  let cluster = Cluster.create ~tweak:fast ~system:(Cluster.Iss Core.Config.PBFT) ~n:4 ~seed:7L () in
+  Cluster.enable_invariants cluster;
+  Cluster.start cluster;
+  let engine = Cluster.engine cluster in
+  let r = Proto.Request.make ~client:3 ~ts:0 ~submitted_at:(Sim.Engine.now engine) () in
+  Array.iter (fun node -> Core.Node.submit node r) (Cluster.nodes cluster);
+  match Sim.Engine.run ~until:(Time_ns.of_sec_f 10.0) engine with
+  | () -> Alcotest.fail "an unsubmitted request was delivered without a violation"
+  | exception Cluster.Invariant_violation report ->
+      check_bool
+        (Printf.sprintf "report %S names the fabrication" report)
+        true
+        (contains ~needle:"never submitted" report)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "faults"
@@ -355,5 +382,10 @@ let () =
         [
           Alcotest.test_case "lossy network, exactly-once delivery" `Quick
             test_lossy_retransmission;
+        ] );
+      ( "invariants",
+        [
+          Alcotest.test_case "unsubmitted request is a fabrication" `Quick
+            test_unsubmitted_request_flagged;
         ] );
     ]

@@ -267,7 +267,7 @@ let test_overload_scenario_drop_oldest () =
 (* Property: under any interleaving of shedding, retransmission,
    crash/recovery and epoch turnover, no correct node ever delivers a
    request twice, and every request is delivered or explicitly gives up.
-   The online invariant checker raises on double delivery and on a
+   The cluster's invariant checker raises on double delivery and on a
    delivered-then-shed contradiction; check_liveness accepts only
    delivered-or-gave-up terminal states. *)
 

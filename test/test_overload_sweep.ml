@@ -11,7 +11,7 @@
    p99 latency stays bounded.
 
    Part 3 — exactly-once-or-gave-up at 2x overload: a saturating run with
-   the online invariant checker on, extended until every request reaches a
+   the cluster's invariant checker on, extended until every request reaches a
    terminal state, then judged by the give-up-aware liveness check. *)
 
 module Time_ns = Sim.Time_ns
@@ -49,7 +49,7 @@ let conformance_part () =
     (* Count sheds through one extra bare PBFT run so the sweep can assert
        the overload machinery actually fired across the corpus. *)
     match Conform.Harness.run_protocol ~instrumented:false sc Core.Config.PBFT with
-    | Ok r -> sheds_seen := !sheds_seen + r.Conform.Harness.stats.Conform.Checker.shed
+    | Ok r -> sheds_seen := !sheds_seen + r.Conform.Harness.stats.Runner.Checker.shed
     | Error _ -> ()
   done;
   if !failed > 0 then begin
@@ -97,7 +97,7 @@ let sweep_part () =
     (100.0 *. goodput_ratio) p99 sw.Experiment.knee_fraction
 
 let exactly_once_part () =
-  (* A 2x-saturation run judged request by request: the online invariant
+  (* A 2x-saturation run judged request by request: the cluster's invariant
      checker raises on any double delivery or delivered-then-shed
      contradiction while it runs, and the give-up-aware liveness check
      requires every submitted request to have reached its reply quorum or
